@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.special import logsumexp
 
 from .errors import NumericError, ValidationError
 from .errormodel import OperatingPoint
@@ -82,6 +80,9 @@ class MixtureModel:
             raise ValidationError(
                 f"unknown covariance family {self.parametrization!r}"
             )
+        arrays = (self.weights, self.means, self.covariances)
+        if not all(np.all(np.isfinite(a)) for a in arrays):
+            raise ValidationError("mixture parameters must be finite")
         if abs(float(np.sum(self.weights)) - 1.0) > 1e-12:
             raise ValidationError("mixture weights must sum to 1")
         if self.d_q + self.d_r != self.means.shape[1]:
@@ -132,19 +133,17 @@ class SearchCell:
     status: str
 
 
-def _chol_logpdf(data: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    chol = np.linalg.cholesky(cov)
-    diff = np.atleast_2d(data) - mean
-    solved = solve_triangular(chol, diff.T, lower=True)
-    quad = np.sum(solved * solved, axis=0)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    d = mean.shape[0]
-    return -0.5 * (d * math.log(2.0 * math.pi) + logdet + quad)
+def _logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
+    """log(sum(exp(a))) along axis, max-shifted; an all -inf slice gives -inf."""
+    peak = np.max(a, axis=axis, keepdims=True)
+    peak = np.where(np.isfinite(peak), peak, 0.0)
+    with np.errstate(divide="ignore"):
+        total = np.log(np.sum(np.exp(a - peak), axis=axis))
+    return total + np.squeeze(peak, axis=axis)
 
 
-def _ensure_spd(cov: np.ndarray, context: str, counters: dict) -> np.ndarray:
-    """Return an SPD version of cov, adding a logged ridge when needed."""
-    cov = 0.5 * (cov + cov.T)
+def _ridge_one(cov: np.ndarray, context: str, counters: dict) -> np.ndarray:
+    """cov if it is SPD, else cov plus the smallest logged ridge that makes it so."""
     try:
         np.linalg.cholesky(cov)
         return cov
@@ -166,6 +165,23 @@ def _ensure_spd(cov: np.ndarray, context: str, counters: dict) -> np.ndarray:
     raise NumericError(f"{context}: covariance cannot be made positive definite")
 
 
+def _ensure_spd(covs: np.ndarray, context: str, counters: dict) -> np.ndarray:
+    """Return SPD versions of a (K, d, d) stack, adding a logged ridge when needed.
+
+    Only when the stacked Cholesky fails is each component ("{context} {j}")
+    checked and ridged on its own.
+    """
+    covs = 0.5 * (covs + np.swapaxes(covs, 1, 2))
+    try:
+        np.linalg.cholesky(covs)
+        return covs
+    except np.linalg.LinAlgError:
+        pass
+    return np.array(
+        [_ridge_one(cov, f"{context} {j}", counters) for j, cov in enumerate(covs)]
+    )
+
+
 def _shape_normalize(diag_values: np.ndarray) -> tuple[np.ndarray, float]:
     """Split a positive diagonal into (unit-determinant shape, volume)."""
     safe = np.maximum(diag_values, _TINY)
@@ -185,8 +201,8 @@ def _project_covariances(
     scatter: (K, d, d) responsibility-weighted scatter around the new means.
     Families with coupled volume/shape (VEI, VEV) run a coordinate-descent
     inner loop warm-started from the previous covariances so the EM
-    objective never decreases. EEV/VEV re-pair eigenvalues with the shared
-    shape inside the same budgeted loop.
+    objective never decreases. VEV re-pairs eigenvalues with the shared shape
+    inside the same budgeted loop; EEV's shared shape is closed-form.
     """
     k, d, _ = scatter.shape
     n_total = float(np.sum(nk))
@@ -195,18 +211,16 @@ def _project_covariances(
         lam = float(np.trace(scatter.sum(axis=0))) / (n_total * d)
         return np.broadcast_to(lam * np.eye(d), (k, d, d)).copy()
     if code == "VII":
-        out = np.empty((k, d, d))
-        for j in range(k):
-            lam = float(np.trace(scatter[j])) / (max(nk[j], _TINY) * d)
-            out[j] = lam * np.eye(d)
-        return out
+        lam = np.trace(scatter, axis1=1, axis2=2) / (np.maximum(nk, _TINY) * d)
+        return lam[:, None, None] * np.eye(d)
     if code == "EEI":
         diag = np.diagonal(scatter.sum(axis=0)) / n_total
         return np.broadcast_to(np.diag(diag), (k, d, d)).copy()
     if code == "VVI":
-        out = np.empty((k, d, d))
-        for j in range(k):
-            out[j] = np.diag(np.diagonal(scatter[j]) / max(nk[j], _TINY))
+        out = np.zeros((k, d, d))
+        out[:, range(d), range(d)] = (
+            np.diagonal(scatter, axis1=1, axis2=2) / np.maximum(nk, _TINY)[:, None]
+        )
         return out
     if code == "EVI":
         shapes = np.empty((k, d))
@@ -245,30 +259,18 @@ def _project_covariances(
         pooled = scatter.sum(axis=0) / n_total
         return np.broadcast_to(pooled, (k, d, d)).copy()
     if code == "VVV":
-        return np.array([scatter[j] / max(nk[j], _TINY) for j in range(k)])
+        return scatter / np.maximum(nk, _TINY)[:, None, None]
 
     # orientation families: eigendecompose each scatter, eigenvalues descending
-    eigvals = np.empty((k, d))
-    eigvecs = np.empty((k, d, d))
-    for j in range(k):
-        vals, vecs = np.linalg.eigh(0.5 * (scatter[j] + scatter[j].T))
-        order = np.argsort(vals)[::-1]
-        eigvals[j] = np.maximum(vals[order], 0.0)
-        eigvecs[j] = vecs[:, order]
+    vals, vecs = np.linalg.eigh(0.5 * (scatter + np.swapaxes(scatter, 1, 2)))
+    order = np.argsort(vals, axis=1)[:, ::-1]
+    eigvals = np.maximum(np.take_along_axis(vals, order, axis=1), 0.0)
+    eigvecs = np.take_along_axis(vecs, order[:, None, :], axis=2)
 
     if code == "EEV":
-        shape = np.ones(d)
-        for _ in range(ORIENTATION_INNER_ITER):
-            shape_new, volume = _shape_normalize(eigvals.sum(axis=0))
-            if np.allclose(shape_new, shape, rtol=1e-12):
-                shape = shape_new
-                break
-            shape = shape_new
-        _, volume = _shape_normalize(eigvals.sum(axis=0))
+        shape, volume = _shape_normalize(eigvals.sum(axis=0))
         lam = volume / n_total
-        return np.array(
-            [eigvecs[j] @ np.diag(lam * shape) @ eigvecs[j].T for j in range(k)]
-        )
+        return (eigvecs * (lam * shape)) @ np.swapaxes(eigvecs, 1, 2)
     if code == "VEV":
         if prev_cov is not None:
             lam = np.empty(k)
@@ -293,9 +295,7 @@ def _project_covariances(
             lam, shape = lam_new, shape_new
             if done:
                 break
-        return np.array(
-            [eigvecs[j] @ np.diag(lam[j] * shape) @ eigvecs[j].T for j in range(k)]
-        )
+        return (eigvecs * (lam[:, None, None] * shape)) @ np.swapaxes(eigvecs, 1, 2)
     raise ValidationError(f"unknown covariance family {code!r}")
 
 
@@ -324,8 +324,8 @@ def _initial_responsibilities(
     centers = _kmeans_pp_centers(standardized, k, rng)
     deltas = standardized[:, None, :] - centers[None, :, :]
     assign = np.argmin(np.sum(deltas * deltas, axis=2), axis=1)
-    resp = np.zeros((data.shape[0], k))
-    resp[np.arange(data.shape[0]), assign] = 1.0
+    resp = np.zeros((k, data.shape[0]))
+    resp[assign, np.arange(data.shape[0])] = 1.0
     return resp
 
 
@@ -337,28 +337,31 @@ def _m_step(
     counters: dict,
 ):
     n, d = data.shape
-    nk = resp.sum(axis=0)
+    nk = resp.sum(axis=1)
     weights = nk / n
-    means = (resp.T @ data) / np.maximum(nk, _TINY)[:, None]
-    scatter = np.empty((resp.shape[1], d, d))
-    for j in range(resp.shape[1]):
-        diff = data - means[j]
-        scatter[j] = (resp[:, j][:, None] * diff).T @ diff
+    means = (resp @ data) / np.maximum(nk, _TINY)[:, None]
+    diff = np.ascontiguousarray(data.T)[None, :, :] - means[:, :, None]
+    # point-major weighted differences make BLAS sum each scatter in the order
+    # of a per-component loop; another order flips EM's float-level ties
+    weighted = np.empty((len(nk), n, d)).transpose(0, 2, 1)
+    np.multiply(resp[:, None, :], diff, out=weighted)
+    scatter = weighted @ np.swapaxes(diff, 1, 2)
     covs = _project_covariances(code, scatter, nk, prev_cov)
-    covs = np.array(
-        [_ensure_spd(covs[j], f"component {j}", counters) for j in range(covs.shape[0])]
-    )
-    return weights, means, covs
+    return weights, means, _ensure_spd(covs, "component", counters)
 
 
 def _log_component_densities(
     data: np.ndarray, weights: np.ndarray, means: np.ndarray, covs: np.ndarray
 ) -> np.ndarray:
-    k = weights.shape[0]
-    log_dens = np.empty((np.atleast_2d(data).shape[0], k))
-    for j in range(k):
-        log_dens[:, j] = _chol_logpdf(data, means[j], covs[j])
-    return log_dens + np.log(np.maximum(weights, _TINY))[None, :]
+    """(K, N) log(weight_k * N(x_n | mean_k, cov_k)) from one stacked Cholesky."""
+    data_t = np.ascontiguousarray(np.atleast_2d(data).T)
+    d = means.shape[1]
+    chol = np.linalg.cholesky(covs)
+    whitened = np.linalg.inv(chol) @ (data_t[None, :, :] - means[:, :, None])
+    quad = np.einsum("kdn,kdn->kn", whitened, whitened)
+    logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
+    log_dens = -0.5 * (d * math.log(2.0 * math.pi) + logdet[:, None] + quad)
+    return log_dens + np.log(np.maximum(weights, _TINY))[:, None]
 
 
 def em_fit(
@@ -409,10 +412,10 @@ def em_fit(
         prev_params = None
         for _ in range(max_iter):
             log_joint = _log_component_densities(data, weights, means, covs)
-            log_norm = logsumexp(log_joint, axis=1)
+            log_norm = _logsumexp(log_joint, axis=0)
             loglik = float(np.sum(log_norm))
-            resp = np.exp(log_joint - log_norm[:, None])
-            if np.min(resp.sum(axis=0)) < COLLAPSE_FLOOR:
+            resp = np.exp(log_joint - log_norm)
+            if np.min(resp.sum(axis=1)) < COLLAPSE_FLOOR:
                 collapsed = True
                 break
             if trace and loglik < trace[-1]:
@@ -464,7 +467,7 @@ def log_likelihood(model: MixtureModel, data) -> float:
     log_joint = _log_component_densities(
         data, model.weights, model.means, model.covariances
     )
-    return float(np.sum(logsumexp(log_joint, axis=1)))
+    return float(np.sum(_logsumexp(log_joint, axis=0)))
 
 
 def bic(model: MixtureModel, data) -> float:
@@ -554,25 +557,12 @@ def condition(model: MixtureModel, q) -> ConditionalPrediction:
     if not np.all(np.isfinite(q)):
         raise ValidationError("query vector must be finite")
     mu_q, mu_r, sigma_qq, sigma_qr, sigma_rr = _split_blocks(model)
-    k = model.n_components
-    counters: dict = {}
-    log_w = np.empty(k)
-    cond_means = np.empty((k, model.d_r))
-    cond_covs = np.empty((k, model.d_r, model.d_r))
-    for j in range(k):
-        qq = sigma_qq[j]
-        try:
-            np.linalg.cholesky(qq)
-        except np.linalg.LinAlgError:
-            qq = _ensure_spd(qq, f"quality block of component {j}", counters)
-        log_w[j] = math.log(max(model.weights[j], _TINY)) + float(
-            _chol_logpdf(q, mu_q[j], qq)[0]
-        )
-        solved = np.linalg.solve(qq, sigma_qr[j])
-        cond_means[j] = mu_r[j] + (q - mu_q[j]) @ solved
-        cond_covs[j] = sigma_rr[j] - sigma_qr[j].T @ solved
-    log_total = logsumexp(log_w)
-    psi = np.exp(log_w - log_total)
+    sigma_qq = _ensure_spd(sigma_qq, "quality block of component", {})
+    log_w = _log_component_densities(q, model.weights, mu_q, sigma_qq)[:, 0]
+    solved = np.linalg.solve(sigma_qq, sigma_qr)
+    cond_means = mu_r + ((q - mu_q)[:, None, :] @ solved)[:, 0, :]
+    cond_covs = sigma_rr - np.swapaxes(sigma_qr, 1, 2) @ solved
+    psi = np.exp(log_w - _logsumexp(log_w))
     psi /= psi.sum()
     expectation = psi @ cond_means
     return ConditionalPrediction(psi, cond_means, cond_covs, expectation)
@@ -584,12 +574,8 @@ def marginal_q_density(model: MixtureModel, q) -> float:
     if q.shape[1] != model.d_q:
         raise ValidationError("query dimension mismatch")
     mu_q, _, sigma_qq, _, _ = _split_blocks(model)
-    log_terms = np.empty(model.n_components)
-    for j in range(model.n_components):
-        log_terms[j] = math.log(max(model.weights[j], _TINY)) + float(
-            _chol_logpdf(q, mu_q[j], sigma_qq[j])[0]
-        )
-    return float(np.exp(logsumexp(log_terms)))
+    log_terms = _log_component_densities(q, model.weights, mu_q, sigma_qq)[:, 0]
+    return float(np.exp(_logsumexp(log_terms)))
 
 
 def predict_rates(
@@ -650,22 +636,35 @@ def model_to_dict(
     return doc
 
 
+def _doc_field(doc: dict, key: str, convert):
+    try:
+        return convert(doc[key])
+    except KeyError:
+        raise ValidationError(f"model file has no {key!r} field") from None
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"model field {key!r} is malformed: {exc}") from exc
+
+
 def model_from_dict(doc: dict) -> tuple[MixtureModel, OperatingPoint | None]:
+    """Load a model document; a missing or malformed field is a ValidationError."""
+    if not isinstance(doc, dict):
+        raise ValidationError("model file must hold a JSON object")
     if doc.get("version") != MODEL_FORMAT_VERSION:
         raise ValidationError(f"unsupported model format version {doc.get('version')!r}")
+    arrays = [_doc_field(doc, key, lambda value: np.asarray(value, dtype=float))
+              for key in ("weights", "means", "covariances")]
     model = MixtureModel(
-        weights=np.asarray(doc["weights"], dtype=float),
-        means=np.asarray(doc["means"], dtype=float),
-        covariances=np.asarray(doc["covariances"], dtype=float),
-        parametrization=doc["parametrization"],
-        d_q=int(doc["d_q"]),
-        d_r=int(doc["d_r"]),
-        fit_meta=dict(doc.get("fit_meta", {})),
+        *arrays,
+        parametrization=_doc_field(doc, "parametrization", str),
+        d_q=_doc_field(doc, "d_q", int),
+        d_r=_doc_field(doc, "d_r", int),
+        fit_meta=_doc_field(doc, "fit_meta", dict) if "fit_meta" in doc else {},
     )
     point = None
     if doc.get("operating_point") is not None:
         raw = doc["operating_point"]
-        point = OperatingPoint(float(raw["threshold"]), str(raw.get("label", "")))
+        point = OperatingPoint(_doc_field(raw, "threshold", float),
+                               str(raw.get("label", "")))
     return model, point
 
 

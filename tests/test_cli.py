@@ -253,6 +253,39 @@ def test_predict_rejects_wrong_quality_dimension(fitted, tmp_path, capsys):
     assert "expects 2" in err
 
 
+_MODEL_KEYS = ("version", "d_q", "d_r", "parametrization", "weights", "means",
+               "covariances")
+
+
+def _nan_entry(covariances):
+    covariances[0][0][0] = float("nan")
+    return covariances
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [(key, None) for key in _MODEL_KEYS]
+    + [("means", "x"), ("weights", [0.5, "half"]), ("d_q", "two"),
+       ("covariances", _nan_entry), ("fit_meta", [1]),
+       ("operating_point", {"label": "no threshold"})],
+)
+def test_predict_rejects_a_malformed_model_file(fitted, tmp_path, capsys, key, value):
+    _, out, _ = fitted
+    doc = json.loads((out / "model.json").read_text())
+    if value is None:
+        del doc[key]
+    else:
+        doc[key] = value(doc[key]) if callable(value) else value
+    model_path = tmp_path / "broken.json"
+    model_path.write_text(json.dumps(doc))
+    qpath = tmp_path / "queries.csv"
+    qpath.write_text("q1,q2\n0.5,0.5\n")
+    code, _, err = run(["predict", str(model_path), str(qpath)], capsys)
+    assert code == 1
+    assert len(err.splitlines()) == 1
+    assert err.startswith("validation error:")
+
+
 # ---------------------------------------------------------------- roc/erc
 
 def test_roc_reports_auc_and_sorted_curve(tmp_path, capsys):

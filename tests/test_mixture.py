@@ -1,14 +1,21 @@
 """Mixture fitting, family-constrained M-steps, conditioning, serialization."""
 
+import logging
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
+from scipy.linalg import solve_triangular
+from scipy.special import logsumexp
 
+from veriq import mixture
 from veriq.errormodel import OperatingPoint
 from veriq.errors import NumericError, ValidationError
 from veriq.mixture import (
+    _TINY,
     PARAMETRIZATIONS,
     MixtureModel,
     bic,
@@ -434,3 +441,221 @@ def test_model_weight_validation():
         _model([0.5, 0.6], _FROZEN.means, _FROZEN.covariances)
     with pytest.raises(ValidationError):
         _model([1.0], [[0.0, 0.0]], [np.eye(2)], d_q=2, d_r=1)
+
+
+# ---------------------------------- batched kernels vs per-component loops
+#
+# The references below are the per-component loops the library's batched
+# E-step, M-step and conditioning replaced. The batched log-densities and
+# conditioning sum in another order, so they agree to a tolerance; the
+# M-step scatter and the ridge repair agree bit for bit.
+
+
+def _chol_logpdf(data, mean, cov):
+    chol = np.linalg.cholesky(cov)
+    diff = np.atleast_2d(data) - mean
+    solved = solve_triangular(chol, diff.T, lower=True)
+    quad = np.sum(solved * solved, axis=0)
+    logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
+    d = mean.shape[0]
+    return -0.5 * (d * math.log(2.0 * math.pi) + logdet + quad)
+
+
+def _reference_log_densities(data, weights, means, covs):
+    return np.array([
+        math.log(max(w, _TINY)) + _chol_logpdf(data, m, c)
+        for w, m, c in zip(weights, means, covs)
+    ])
+
+
+def _reference_ensure_spd(cov, context, counters):
+    cov = 0.5 * (cov + cov.T)
+    try:
+        np.linalg.cholesky(cov)
+        return cov
+    except np.linalg.LinAlgError:
+        pass
+    d = cov.shape[0]
+    trace = float(np.trace(cov))
+    ridge = mixture.RIDGE_FACTOR * (trace / d if trace > 0 else 1.0)
+    for _ in range(8):
+        candidate = cov + ridge * np.eye(d)
+        try:
+            np.linalg.cholesky(candidate)
+            counters["ridge_events"] = counters.get("ridge_events", 0) + 1
+            logging.getLogger(mixture.__name__).warning(
+                "%s: added ridge %.3e to restore positive definiteness", context, ridge
+            )
+            return candidate
+        except np.linalg.LinAlgError:
+            ridge *= 10.0
+    raise NumericError(f"{context}: covariance cannot be made positive definite")
+
+
+def _reference_m_step(data, resp, code):
+    n = data.shape[0]
+    nk = resp.sum(axis=1)
+    means = (resp @ data) / np.maximum(nk, _TINY)[:, None]
+    scatter = np.empty((resp.shape[0], data.shape[1], data.shape[1]))
+    for j in range(resp.shape[0]):
+        diff = data - means[j]
+        scatter[j] = (resp[j][:, None] * diff).T @ diff
+    covs = mixture._project_covariances(code, scatter, nk, None)
+    counters = {}
+    covs = np.array([
+        _reference_ensure_spd(c, f"component {j}", counters) for j, c in enumerate(covs)
+    ])
+    return nk / n, means, covs, counters
+
+
+def _reference_condition(model, q):
+    """Per-component conditioning; also returns the log-weights and the
+    magnitude of the terms summed into each conditional mean."""
+    dq = model.d_q
+    k = model.n_components
+    log_w = np.empty(k)
+    cond_means = np.empty((k, model.d_r))
+    mean_terms = np.empty((k, model.d_r))
+    cond_covs = np.empty((k, model.d_r, model.d_r))
+    for j in range(k):
+        cov = model.covariances[j]
+        mu_q, mu_r = model.means[j, :dq], model.means[j, dq:]
+        qq = _reference_ensure_spd(cov[:dq, :dq], f"quality block of component {j}", {})
+        log_w[j] = math.log(max(model.weights[j], _TINY)) + float(
+            _chol_logpdf(q, mu_q, qq)[0]
+        )
+        solved = np.linalg.solve(qq, cov[:dq, dq:])
+        cond_means[j] = mu_r + (q - mu_q) @ solved
+        mean_terms[j] = np.abs(mu_r) + np.abs(q - mu_q) @ np.abs(solved)
+        cond_covs[j] = cov[dq:, dq:] - cov[:dq, dq:].T @ solved
+    psi = np.exp(log_w - logsumexp(log_w))
+    psi /= psi.sum()
+    return psi, cond_means, cond_covs, psi @ cond_means, log_w, mean_terms
+
+
+def _spd_stack(rng, k, d, log_cond):
+    """K random SPD matrices with eigenvalues spanning [10**-log_cond, 1]."""
+    covs = np.empty((k, d, d))
+    for j in range(k):
+        basis, _ = np.linalg.qr(rng.normal(size=(d, d)))
+        eig = 10.0 ** rng.uniform(-log_cond, 0.0, size=d)
+        eig[0], eig[-1] = 1.0, 10.0 ** -log_cond
+        covs[j] = (basis * eig) @ basis.T
+    return 0.5 * (covs + np.swapaxes(covs, 1, 2))
+
+
+@st.composite
+def _mixtures(draw, min_d=1):
+    k = draw(st.integers(1, 6))
+    d = draw(st.integers(min_d, 5))
+    n = draw(st.integers(1, 50))
+    weights = draw(st.lists(
+        st.just(0.0) | st.floats(1e-300, 1.0), min_size=k, max_size=k
+    ))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    covs = _spd_stack(rng, k, d, draw(st.floats(0.0, 8.0)))
+    means = rng.normal(size=(k, d))
+    data = rng.normal(size=(n, d)) * 2.0
+    return data, np.asarray(weights), means, covs
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mixtures())
+def test_batched_log_densities_match_per_component_loop(case):
+    data, weights, means, covs = case
+    got = mixture._log_component_densities(data, weights, means, covs)
+    ref = _reference_log_densities(data, weights, means, covs)
+    assert got.shape == ref.shape == (len(weights), data.shape[0])
+    np.testing.assert_allclose(got, ref, rtol=1e-10)
+
+
+_LOG_ENTRIES = st.just(-np.inf) | st.floats(-1e3, 1e3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda k: st.lists(st.lists(_LOG_ENTRIES, min_size=k, max_size=k),
+                           min_size=1, max_size=20)
+    ),
+    st.integers(0, 5),
+)
+def test_numpy_logsumexp_matches_scipy(rows, finite_at):
+    a = np.array(rows)
+    a[0] = -np.inf  # an all -inf row
+    if a.shape[0] > 1:  # a row with a single finite entry
+        a[1] = -np.inf
+        a[1, finite_at % a.shape[1]] = -3.5
+    for axis in (0, 1):
+        got = mixture._logsumexp(a, axis=axis)
+        ref = logsumexp(a, axis=axis)
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-13)
+    assert mixture._logsumexp(a[0]) == -np.inf
+    if a.shape[0] > 1:
+        assert mixture._logsumexp(a[1]) == -3.5
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mixtures(), st.sampled_from(PARAMETRIZATIONS), st.integers(0, 2**32 - 1))
+def test_batched_m_step_matches_per_component_loop(case, code, seed):
+    data, _, _, _ = case
+    rng = np.random.default_rng(seed)
+    resp = rng.dirichlet(np.ones(3), size=(data.shape[0], 6))[:, :, 0].T
+    resp = resp[: rng.integers(1, 7)]
+    counters = {}
+    weights, means, covs = mixture._m_step(data, resp, code, None, counters)
+    ref_weights, ref_means, ref_covs, ref_counters = _reference_m_step(data, resp, code)
+    np.testing.assert_array_equal(weights, ref_weights)
+    np.testing.assert_array_equal(means, ref_means)
+    # the scatter is stored so that BLAS sums it in the loop's order
+    np.testing.assert_array_equal(covs, ref_covs)
+    assert counters == ref_counters
+
+
+def test_ensure_spd_repairs_each_component_like_the_loop(caplog):
+    rng = np.random.default_rng(17)
+    covs = _spd_stack(rng, 4, 3, 3.0)
+    covs[1] = np.diag([1.0, 1.0, 0.0])  # singular
+    covs[3] = np.diag([2.0, -1e-9, 1.0])  # slightly indefinite
+    covs[2, 0, 1] += 1e-3  # asymmetric: symmetrised, not ridged
+    counters, ref_counters = {}, {}
+    with caplog.at_level(logging.WARNING, logger=mixture.__name__):
+        got = mixture._ensure_spd(covs, "component", counters)
+        batched_log = [r.getMessage() for r in caplog.records]
+        caplog.clear()
+        ref = np.array([
+            _reference_ensure_spd(c, f"component {j}", ref_counters)
+            for j, c in enumerate(covs)
+        ])
+        reference_log = [r.getMessage() for r in caplog.records]
+    np.testing.assert_array_equal(got, ref)
+    assert counters == ref_counters == {"ridge_events": 2}
+    assert batched_log == reference_log
+    assert [m.split(":")[0] for m in batched_log] == ["component 1", "component 3"]
+    with pytest.raises(NumericError, match="component 0"):
+        mixture._ensure_spd(np.array([[[-1.0]]]), "component", {})
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mixtures(min_d=2), st.integers(1, 4))
+def test_batched_condition_matches_per_component_loop(case, d_q):
+    data, weights, means, covs = case
+    d_q = min(d_q, means.shape[1] - 1)
+    weights = np.maximum(weights, 1e-12)
+    model = _model(weights / weights.sum(), means, covs,
+                   d_q=d_q, d_r=means.shape[1] - d_q)
+    q = data[0, :d_q]
+    pred = condition(model, q)
+    psi, cond_means, cond_covs, expectation, log_w, mean_terms = (
+        _reference_condition(model, q)
+    )
+    # psi moves by psi * (error in a log-weight difference)
+    psi_tol = 1e-10 * max(1.0, float(np.max(np.abs(log_w))))
+    np.testing.assert_allclose(pred.psi, psi, rtol=0, atol=psi_tol)
+    np.testing.assert_allclose(pred.cond_means, cond_means, rtol=0,
+                               atol=1e-10 * float(np.max(mean_terms)))
+    np.testing.assert_allclose(pred.cond_covs, cond_covs, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(
+        pred.expectation, expectation, rtol=0,
+        atol=(psi_tol + 1e-10) * float(np.max(mean_terms)) * len(psi),
+    )
