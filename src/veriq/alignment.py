@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import write_csv
+from .dataio import NUMBER, TEXT, read_rows, write_csv
 from .errors import NumericError, ValidationError
 from .metrics import auc, hter, roc, select_hter_threshold
 
@@ -265,24 +265,15 @@ def sweep_grid(
 
 def parse_eyes_csv(source):
     """Parse `image_id,lx,ly,rx,ry,source` rows into (id, EyePair, source)."""
-    if hasattr(source, "read"):
-        source = source.read()
-    lines = source.splitlines() if isinstance(source, str) else list(source)
-    if not lines or lines[0].strip() != "image_id,lx,ly,rx,ry,source":
-        raise ValidationError("expected header image_id,lx,ly,rx,ry,source")
-    rows = []
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        parts = [p.strip() for p in raw.split(",")]
-        if len(parts) != 6:
-            raise ValidationError(f"line {lineno}: expected 6 columns")
-        try:
-            lx, ly, rx, ry = (float(tok) for tok in parts[1:5])
-        except ValueError as exc:
-            raise ValidationError(f"line {lineno}: non-numeric coordinate") from exc
-        rows.append((parts[0], EyePair((lx, ly), (rx, ry)), parts[5]))
-    return rows
+    rows = read_rows(
+        source,
+        ("image_id", "lx", "ly", "rx", "ry", "source"),
+        (TEXT, NUMBER, NUMBER, NUMBER, NUMBER, TEXT),
+    )
+    return [
+        (image_id, EyePair((lx, ly), (rx, ry)), tag)
+        for image_id, lx, ly, rx, ry, tag in rows
+    ]
 
 
 def write_eyes_csv(rows, sink) -> None:

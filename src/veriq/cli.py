@@ -53,12 +53,7 @@ def _match_nonmatch(records: dataio.RecordSet):
 
 
 def cmd_validate(args) -> int:
-    try:
-        records = dataio.parse_records(_read_text(args.records))
-    except dataio.RecordsError as exc:
-        for line in exc.errors:
-            print(line, file=sys.stderr)
-        return 1
+    records = dataio.parse_records(_read_text(args.records))
     n_match = int(np.sum(records.is_match()))
     print(f"records={len(records)}")
     print(f"match={n_match}")
@@ -91,6 +86,10 @@ def cmd_fit(args) -> int:
         raise ValidationError("fitting needs both match and nonmatch records")
     if args.k_min < 1 or args.k_max < args.k_min:
         raise UsageError("require 1 <= --k-min <= --k-max")
+    if args.max_iter < 1:
+        raise UsageError("--max-iter must be >= 1")
+    if not args.tol > 0:  # also rejects nan
+        raise UsageError("--tol must be positive")
     prior = errormodel.BetaPosterior(args.prior_a, args.prior_b)
     operating_point, achieved = metrics.threshold_for_fmr(nonmatch_scores, args.fmr)
     threshold = operating_point.threshold
@@ -209,30 +208,16 @@ def cmd_roc(args) -> int:
     return 0
 
 
-def _parse_attempts_csv(text: str):
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != "score,label,predicted_error":
-        raise ValidationError("expected header score,label,predicted_error")
-    rows = []
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        parts = [p.strip() for p in raw.split(",")]
-        if len(parts) != 3:
-            raise ValidationError(f"line {lineno}: expected 3 columns")
-        if parts[1] not in dataio.LABELS:
-            raise ValidationError(f"line {lineno}: unknown label {parts[1]!r}")
-        try:
-            rows.append((float(parts[0]), parts[1], float(parts[2])))
-        except ValueError as exc:
-            raise ValidationError(f"line {lineno}: non-numeric value") from exc
-    if not rows:
-        raise ValidationError("no attempts in file")
-    return rows
-
-
 def cmd_erc(args) -> int:
-    attempts = _parse_attempts_csv(_read_text(args.attempts))
+    attempts = list(
+        dataio.read_rows(
+            _read_text(args.attempts),
+            ("score", "label", "predicted_error"),
+            (dataio.NUMBER, dataio.LABEL, dataio.NUMBER),
+        )
+    )
+    if not attempts:
+        raise ValidationError("no attempts in file")
     if (args.threshold is None) == (args.fmr is None):
         raise UsageError("give exactly one of --threshold or --fmr")
     if args.threshold is not None:
@@ -248,36 +233,19 @@ def cmd_erc(args) -> int:
     return 0
 
 
-def _parse_sweep_csv(text: str, n_params: int, param_names):
-    lines = text.splitlines()
-    expected = ",".join(list(param_names) + ["score", "label"])
-    if not lines or lines[0].strip() != expected:
-        raise ValidationError(f"expected header {expected}")
-    tables: dict[tuple, tuple[list, list]] = {}
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        parts = [p.strip() for p in raw.split(",")]
-        if len(parts) != n_params + 2:
-            raise ValidationError(f"line {lineno}: expected {n_params + 2} columns")
-        try:
-            key = tuple(float(tok) for tok in parts[:n_params])
-            score = float(parts[n_params])
-        except ValueError as exc:
-            raise ValidationError(f"line {lineno}: non-numeric value") from exc
-        label = parts[n_params + 1]
-        if label not in dataio.LABELS:
-            raise ValidationError(f"line {lineno}: unknown label {label!r}")
-        match_list, nonmatch_list = tables.setdefault(key, ([], []))
-        (match_list if label == dataio.MATCH else nonmatch_list).append(score)
-    return tables
-
-
 def cmd_sweep(args) -> int:
     param_names = (
         ("theta", "tx", "ty") if args.mode == "fixed" else ("sigma_x", "sigma_y", "seed")
     )
-    tables = _parse_sweep_csv(_read_text(args.scores), len(param_names), param_names)
+    rows = dataio.read_rows(
+        _read_text(args.scores),
+        param_names + ("score", "label"),
+        (dataio.NUMBER,) * (len(param_names) + 1) + (dataio.LABEL,),
+    )
+    tables: dict[tuple, tuple[list, list]] = {}
+    for *key, score, label in rows:
+        match_list, nonmatch_list = tables.setdefault(tuple(key), ([], []))
+        (match_list if label == dataio.MATCH else nonmatch_list).append(score)
     grid = sorted(tables.keys())
     baseline = tuple(0.0 for _ in param_names)
     cells, skipped = alignment.sweep_grid(tables, grid, baseline)
@@ -336,28 +304,13 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _parse_iqa_csv(text: str) -> np.ndarray:
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != "q1,q2,gamma1,gamma2":
-        raise ValidationError("expected header q1,q2,gamma1,gamma2")
-    rows = []
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        parts = raw.split(",")
-        if len(parts) != 4:
-            raise ValidationError(f"line {lineno}: expected 4 columns")
-        try:
-            rows.append([float(tok) for tok in parts])
-        except ValueError as exc:
-            raise ValidationError(f"line {lineno}: non-numeric value") from exc
-    if not rows:
-        raise ValidationError("no calibration rows in file")
-    return np.array(rows)
-
-
 def cmd_calibrate_iqa(args) -> int:
-    rows = _parse_iqa_csv(_read_text(args.rows))
+    cells = dataio.read_rows(
+        _read_text(args.rows), ("q1", "q2", "gamma1", "gamma2"), (dataio.NUMBER,) * 4
+    )
+    rows = np.array(list(cells))
+    if rows.size == 0:
+        raise ValidationError("no calibration rows in file")
     calibration = quality.fit_iqa_calibration(rows)
     doc = {
         "solution": [[float(v) for v in row] for row in calibration.solution],
@@ -485,12 +438,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except dataio.RecordsError as exc:
-        for line in exc.errors:
-            print(line, file=sys.stderr)
-        return 1
     except ValidationError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
+        for line in str(exc).splitlines():
+            print(f"validation error: {line}", file=sys.stderr)
         return 1
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)

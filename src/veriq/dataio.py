@@ -10,9 +10,11 @@ are similarities: higher means more similar. Floats are written with
 from __future__ import annotations
 
 import io
+import itertools
 import math
 import os
 import tempfile
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,11 +25,16 @@ MATCH = "match"
 NONMATCH = "nonmatch"
 LABELS = (MATCH, NONMATCH)
 
+# Cell kinds of read_rows columns.
+NUMBER = "number"
+LABEL = "label"
+TEXT = "text"
+
 _FIXED_COLUMNS = ("probe_id", "ref_id", "score", "label")
 
 
 class RecordsError(ValidationError):
-    """Malformed records input. ``errors`` lists per-line messages."""
+    """Malformed CSV input. ``errors`` lists per-line messages."""
 
     def __init__(self, errors):
         self.errors = list(errors)
@@ -124,21 +131,47 @@ def _parse_header(line: str):
     return 2 * m, True
 
 
-def parse_records(source, meta: dict | None = None) -> RecordSet:
-    """Parse CSV text (string, stream, or line iterable) into a RecordSet.
+def _number(token: str) -> float:
+    try:
+        value = float(token)
+    except ValueError:
+        raise ValueError(f"non-numeric value {token.strip()!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {token.strip()!r}")
+    return value
 
-    All malformed lines are gathered and raised together as a RecordsError
-    whose messages carry 1-based line numbers.
+
+def _label(token: str) -> str:
+    token = token.strip()
+    if token not in LABELS:
+        raise ValueError(f"expected match or nonmatch, found {token!r}")
+    return token
+
+
+# Callers name kinds, not these converters: perfbench's tracer wraps every
+# public function of a layer, and a span per cell would swamp a traced run.
+_CONVERTERS = {NUMBER: _number, LABEL: _label, TEXT: str.strip}
+
+
+def read_rows(source, header, kinds) -> Iterator[list]:
+    """Yield the converted rows of a CSV whose first line is exactly ``header``.
+
+    ``source`` is CSV text, a text stream or an iterable of lines. ``kinds``
+    gives each column's cell kind: NUMBER converts with ``float()`` and
+    rejects nan and +-inf, LABEL accepts ``match``/``nonmatch``, TEXT keeps
+    the stripped string. Blank lines are skipped. Every bad line gets one
+    1-based ``line N: ...`` message, and after the last good row all of them
+    are raised together, in line order, as one RecordsError. Rows are
+    yielded, not listed, so a caller that groups them holds each only once.
     """
     lines = _as_lines(source)
-    if not lines or not lines[0].strip():
-        raise RecordsError(["line 1: missing header"])
-    quality_dim, ref_quality = _parse_header(lines[0])
-    n_cols = 4 + quality_dim
-
-    records = []
+    header = list(header)
+    if not lines or [c.strip() for c in lines[0].split(",")] != header:
+        raise RecordsError([f"line 1: expected header {','.join(header)}"])
+    converters = [_CONVERTERS[kind] for kind in kinds]
+    n_cols = len(header)
     problems = []
-    for lineno, raw in enumerate(lines[1:], start=2):
+    for lineno, raw in enumerate(itertools.islice(lines, 1, None), start=2):
         if not raw.strip():
             continue
         parts = raw.split(",")
@@ -147,45 +180,33 @@ def parse_records(source, meta: dict | None = None) -> RecordSet:
                 f"line {lineno}: expected {n_cols} columns, found {len(parts)}"
             )
             continue
-        probe_id, ref_id, score_tok, label = (p.strip() for p in parts[:4])
-        ok = True
+        row = []
         try:
-            score = float(score_tok)
-        except ValueError:
-            problems.append(f"line {lineno}: non-numeric score {score_tok!r}")
-            ok = False
-            score = math.nan
-        if ok and not math.isfinite(score):
-            problems.append(f"line {lineno}: non-finite score {score_tok!r}")
-            ok = False
-        if label not in LABELS:
-            problems.append(f"line {lineno}: unknown label {label!r}")
-            ok = False
-        quality = []
-        for col, tok in enumerate(parts[4:], start=1):
-            tok = tok.strip()
-            try:
-                val = float(tok)
-            except ValueError:
-                problems.append(
-                    f"line {lineno}: non-numeric quality value {tok!r} (column {col})"
-                )
-                ok = False
-                break
-            if not math.isfinite(val):
-                problems.append(
-                    f"line {lineno}: non-finite quality value {tok!r} (column {col})"
-                )
-                ok = False
-                break
-            quality.append(val)
-        if ok:
-            records.append(
-                VerificationRecord(probe_id, ref_id, score, label, tuple(quality))
-            )
+            for convert, token in zip(converters, parts):
+                row.append(convert(token))
+        except ValueError as exc:
+            problems.append(f"line {lineno}: {header[len(row)]}: {exc}")
+            continue
+        yield row
     if problems:
         raise RecordsError(problems)
-    return RecordSet(tuple(records), quality_dim, ref_quality, meta or {})
+
+
+def parse_records(source, meta: dict | None = None) -> RecordSet:
+    """Parse CSV text (string, stream, or line iterable) into a RecordSet.
+
+    All malformed lines are gathered and raised together as a RecordsError
+    whose messages carry 1-based line numbers.
+    """
+    lines = _as_lines(source)
+    quality_dim, ref_quality = _parse_header(lines[0] if lines else "")
+    header = list(_FIXED_COLUMNS) + _quality_header(quality_dim, ref_quality)
+    kinds = (TEXT, TEXT, NUMBER, LABEL) + (NUMBER,) * quality_dim
+    records = tuple(
+        VerificationRecord(probe_id, ref_id, score, label, tuple(quality))
+        for probe_id, ref_id, score, label, *quality in read_rows(lines, header, kinds)
+    )
+    return RecordSet(records, quality_dim, ref_quality, meta or {})
 
 
 def _format_float(x: float) -> str:
@@ -253,35 +274,9 @@ def write_csv(path_or_stream, header: list[str], rows) -> None:
 def parse_quality_csv(source) -> np.ndarray:
     """Parse a CSV with header q1..qM into an (N, M) float matrix."""
     lines = _as_lines(source)
-    if not lines or not lines[0].strip():
-        raise RecordsError(["line 1: missing header"])
-    cols = [c.strip() for c in lines[0].split(",")]
-    expected = [f"q{i}" for i in range(1, len(cols) + 1)]
-    if cols != expected:
-        raise RecordsError([f"line 1: expected header q1,...,q{len(cols)}"])
-    rows = []
-    problems = []
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        parts = raw.split(",")
-        if len(parts) != len(cols):
-            problems.append(
-                f"line {lineno}: expected {len(cols)} columns, found {len(parts)}"
-            )
-            continue
-        try:
-            vals = [float(tok) for tok in parts]
-        except ValueError:
-            problems.append(f"line {lineno}: non-numeric quality value")
-            continue
-        if not all(math.isfinite(v) for v in vals):
-            problems.append(f"line {lineno}: non-finite quality value")
-            continue
-        rows.append(vals)
-    if problems:
-        raise RecordsError(problems)
-    return np.array(rows, dtype=float) if rows else np.empty((0, len(cols)))
+    n_axes = lines[0].count(",") + 1 if lines else 1
+    rows = read_rows(lines, _quality_header(n_axes, False), (NUMBER,) * n_axes)
+    return np.array(list(rows), dtype=float).reshape(-1, n_axes)
 
 
 @dataclass(frozen=True)

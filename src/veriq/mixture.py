@@ -81,8 +81,17 @@ class MixtureModel:
                 f"unknown covariance family {self.parametrization!r}"
             )
         arrays = (self.weights, self.means, self.covariances)
+        shape = self.means.shape
+        if (len(shape) != 2 or self.weights.shape != shape[:1]
+                or self.covariances.shape != shape + shape[1:]):
+            raise ValidationError(
+                "weights, means and covariances must have shapes (K,), (K, d) and "
+                f"(K, d, d); got {', '.join(str(a.shape) for a in arrays)}"
+            )
         if not all(np.all(np.isfinite(a)) for a in arrays):
             raise ValidationError("mixture parameters must be finite")
+        if np.any(self.weights < 0):
+            raise ValidationError("mixture weights must be non-negative")
         if abs(float(np.sum(self.weights)) - 1.0) > 1e-12:
             raise ValidationError("mixture weights must sum to 1")
         if self.d_q + self.d_r != self.means.shape[1]:
@@ -396,6 +405,8 @@ def em_fit(
         raise ValidationError("d_q + d_r must equal the data dimension")
     if tol <= 0:
         raise ValidationError("tol must be positive")
+    if max_iter < 1:
+        raise ValidationError("max_iter must be >= 1")
 
     last_error = None
     for attempt in range(retries + 1):
@@ -574,6 +585,7 @@ def marginal_q_density(model: MixtureModel, q) -> float:
     if q.shape[1] != model.d_q:
         raise ValidationError("query dimension mismatch")
     mu_q, _, sigma_qq, _, _ = _split_blocks(model)
+    sigma_qq = _ensure_spd(sigma_qq, "quality block of component", {})
     log_terms = _log_component_densities(q, model.weights, mu_q, sigma_qq)[:, 0]
     return float(np.exp(_logsumexp(log_terms)))
 

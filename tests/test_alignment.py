@@ -349,3 +349,5 @@ def test_eyes_csv_validation():
         parse_eyes_csv("image_id,lx,ly,rx,ry,source\nimg,1,2,3\n")
     with pytest.raises(ValidationError):
         parse_eyes_csv("image_id,lx,ly,rx,ry,source\nimg,a,2,3,4,manual\n")
+    with pytest.raises(ValidationError, match="line 2: lx: non-finite"):
+        parse_eyes_csv("image_id,lx,ly,rx,ry,source\nimg,nan,2,3,4,manual\n")

@@ -210,6 +210,16 @@ def test_fit_rejects_unknown_family(tmp_path, capsys):
     assert "usage error" in err
 
 
+@pytest.mark.parametrize(
+    "flag, value", [("--max-iter", "0"), ("--tol", "0"), ("--tol", "-1e-6")]
+)
+def test_fit_rejects_em_settings_that_cannot_run(tmp_path, capsys, flag, value):
+    records, _ = synth(tmp_path, capsys)
+    code, _, err = run(["fit", str(records), f"{flag}={value}"] + FIT_FLAGS, capsys)
+    assert code == 2
+    assert err.startswith("usage error:") and flag in err
+
+
 def test_predict_matches_library_conditioning(fitted, tmp_path, capsys):
     _, out, _ = fitted
     queries = np.array([[0.1, 0.2], [0.5, 0.5], [0.9, 0.4]])
@@ -262,12 +272,21 @@ def _nan_entry(covariances):
     return covariances
 
 
+def _first_row(means):
+    return means[0]
+
+
+def _leading_3x3(covariances):
+    return [[row[:3] for row in cov[:3]] for cov in covariances]
+
+
 @pytest.mark.parametrize(
     "key, value",
     [(key, None) for key in _MODEL_KEYS]
     + [("means", "x"), ("weights", [0.5, "half"]), ("d_q", "two"),
        ("covariances", _nan_entry), ("fit_meta", [1]),
-       ("operating_point", {"label": "no threshold"})],
+       ("operating_point", {"label": "no threshold"}),
+       ("means", _first_row), ("covariances", _leading_3x3), ("weights", [1.5, -0.5])],
 )
 def test_predict_rejects_a_malformed_model_file(fitted, tmp_path, capsys, key, value):
     _, out, _ = fitted
@@ -373,6 +392,38 @@ def test_erc_rejects_bad_attempts_file(tmp_path, capsys):
     code, _, err = run(["erc", str(attempts), "--threshold", "0.0"], capsys)
     assert code == 1
     assert "validation error" in err
+
+
+@pytest.mark.parametrize(
+    "argv, content, bad_lines",
+    [
+        (["sweep"], "theta,tx,ty,score,label\n0,0,0,2.0,match\n0,0,0,nan,match\n"
+         "0,0,0,0.0,nonmatch\n", [3]),
+        (["erc", "--threshold", "0.5"], f"{ERC_HEADER}\n1.0,match,0.5\n"
+         "nan,match,0.2\n0.0,nonmatch,0.1\n", [3]),
+        (["calibrate-iqa"], "q1,q2,gamma1,gamma2\n1,2,0,0\n-1,-2,0,0\n2,1,10,0\n"
+         "-2,-1,10,0\n1,1,0,18\ninf,-1,0,18\n", [7]),
+        (["erc", "--fmr", "0.1"], f"{ERC_HEADER}\n1.0,match,0.5\n1.0,maybe,0.2\n"
+         "0.0,nonmatch\n\n0.5,match,-inf\n", [3, 4, 6]),
+        (["validate"], "probe_id,ref_id,score,label,q1\na,b,inf,match,0.1\n"
+         "a,b,0.5,match,nan\n", [2, 3]),
+        (["predict", "model.json"], "q1,q2\n0.5,0.5\n0.5\n0.5,-inf\n", [3, 4]),
+    ],
+    ids=["sweep-nan-baseline", "erc-nan-score", "iqa-inf-quality", "erc-three-bad-lines",
+         "records-non-finite", "queries-bad-lines"],
+)
+def test_each_malformed_input_line_is_reported(fitted, tmp_path, capsys, argv,
+                                               content, bad_lines):
+    _, out, _ = fitted
+    path = tmp_path / "input.csv"
+    path.write_text(content)
+    argv = [str(out / a) if a == "model.json" else a for a in argv] + [str(path)]
+    code, _, err = run(argv, capsys)
+    assert code == 1
+    messages = err.splitlines()
+    assert len(messages) == len(bad_lines)
+    for message, lineno in zip(messages, bad_lines):
+        assert message.startswith(f"validation error: line {lineno}: ")
 
 
 # ------------------------------------------------------------------ sweep

@@ -10,9 +10,13 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from veriq import dataio
+from veriq.alignment import parse_eyes_csv
 from veriq.dataio import (
+    LABEL,
     MATCH,
     NONMATCH,
+    NUMBER,
+    TEXT,
     RecordSet,
     RecordsError,
     ScoreModel,
@@ -20,6 +24,7 @@ from veriq.dataio import (
     VerificationRecord,
     parse_quality_csv,
     parse_records,
+    read_rows,
     records_to_text,
     synthesize_dataset,
     write_records,
@@ -223,6 +228,104 @@ def test_parse_quality_csv():
         parse_quality_csv("q1,q2\n0.1\n")
     with pytest.raises(RecordsError):
         parse_quality_csv("q1,q2\n0.1,inf\n")
+
+
+# ------------------------------------------------------- the shared reader
+
+
+def _rows_of_records(text):
+    return [
+        [r.probe_id, r.ref_id, r.score, r.label, *r.quality]
+        for r in parse_records(text).records
+    ]
+
+
+def _rows_of_eyes(text):
+    return [[i, *pair.left, *pair.right, tag] for i, pair, tag in parse_eyes_csv(text)]
+
+
+# The six input formats: header, cell kinds, and a parser returning rows.
+_FORMATS = {
+    "records": ("probe_id,ref_id,score,label,q1,q2",
+                (TEXT, TEXT, NUMBER, LABEL, NUMBER, NUMBER), _rows_of_records),
+    "quality": ("q1,q2,q3", (NUMBER,) * 3,
+                lambda text: parse_quality_csv(text).tolist()),
+    "attempts": ("score,label,predicted_error", (NUMBER, LABEL, NUMBER), None),
+    "sweep": ("theta,tx,ty,score,label", (NUMBER,) * 4 + (LABEL,), None),
+    "iqa": ("q1,q2,gamma1,gamma2", (NUMBER,) * 4, None),
+    "eyes": ("image_id,lx,ly,rx,ry,source",
+             (TEXT, NUMBER, NUMBER, NUMBER, NUMBER, TEXT), _rows_of_eyes),
+}
+
+_CELLS = {
+    NUMBER: _float_strategy,
+    LABEL: st.sampled_from([MATCH, NONMATCH]),
+    TEXT: _id_strategy,
+}
+_BAD_CELLS = {
+    "non-numeric": (NUMBER, st.sampled_from(["", "x", "1.2.3", "0x10", "--1"])),
+    "non-finite": (NUMBER, st.sampled_from(["nan", "inf", "-inf", "NaN", " Infinity"])),
+    "label": (LABEL, st.sampled_from(["Match", "maybe", "", "1.0"])),
+}
+
+
+@st.composite
+def _csv_bodies(draw, kinds):
+    """Lines after the header, the numbers of the bad ones, and the good rows."""
+    lines, bad, good = [], [], []
+    choices = ["good", "good", "blank", "columns"] + [
+        name for name, (kind, _) in _BAD_CELLS.items() if kind in kinds
+    ]
+    for lineno in range(2, 2 + draw(st.integers(min_value=0, max_value=8))):
+        choice = draw(st.sampled_from(choices))
+        if choice == "blank":
+            lines.append(draw(st.sampled_from(["", " ", "\t"])))
+            continue
+        values = [draw(_CELLS[kind]) for kind in kinds]
+        tokens = [repr(v) if kind == NUMBER else v for kind, v in zip(kinds, values)]
+        if choice == "good":
+            good.append(values)
+        elif choice == "columns":
+            tokens = tokens[:-1] if draw(st.booleans()) else tokens + ["0.5"]
+        else:
+            kind, bad_cell = _BAD_CELLS[choice]
+            col = draw(st.sampled_from([i for i, k in enumerate(kinds) if k == kind]))
+            tokens[col] = draw(bad_cell)
+        if choice != "good":
+            bad.append(lineno)
+        lines.append(",".join(tokens))
+    return lines, bad, good
+
+
+@pytest.mark.parametrize("name", sorted(_FORMATS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_every_format_reports_exactly_its_bad_lines(name, data):
+    header, kinds, parse = _FORMATS[name]
+    if parse is None:
+        parse = lambda text: list(read_rows(text, header.split(","), kinds))  # noqa: E731
+    lines, bad, good = data.draw(_csv_bodies(kinds))
+    text = "\n".join([header] + lines) + "\n"
+    if not bad:
+        assert parse(text) == good
+        return
+    with pytest.raises(RecordsError) as excinfo:
+        parse(text)
+    errors = excinfo.value.errors
+    assert [int(msg.split(":")[0].removeprefix("line ")) for msg in errors] == bad
+
+
+def test_read_rows_names_the_bad_column():
+    text = "a,b,c\nx,1.0,match\ny,oops,match\nz,2.0,maybe\nw,inf,match\n"
+    with pytest.raises(RecordsError) as excinfo:
+        list(read_rows(text, ["a", "b", "c"], (TEXT, NUMBER, LABEL)))
+    assert excinfo.value.errors == [
+        "line 3: b: non-numeric value 'oops'",
+        "line 4: c: expected match or nonmatch, found 'maybe'",
+        "line 5: b: non-finite value 'inf'",
+    ]
+    with pytest.raises(RecordsError, match="line 1: expected header a,b,c"):
+        list(read_rows("a,c,b\n", ["a", "b", "c"], (TEXT, NUMBER, LABEL)))
 
 
 # ---------------------------------------------------------------- ScoreModel

@@ -17,6 +17,7 @@ from veriq.errors import NumericError, ValidationError
 from veriq.mixture import (
     _TINY,
     PARAMETRIZATIONS,
+    RIDGE_FACTOR,
     MixtureModel,
     bic,
     condition,
@@ -196,6 +197,8 @@ def test_em_validation():
     with pytest.raises(ValidationError):
         em_fit(data, 2, "VVV", d_q=1, d_r=1, tol=0.0)
     with pytest.raises(ValidationError):
+        em_fit(data, 2, "VVV", d_q=1, d_r=1, max_iter=0)
+    with pytest.raises(ValidationError):
         em_fit(data[0], 1, "VVV", d_q=1, d_r=1)
 
 
@@ -351,6 +354,13 @@ def test_condition_validation():
         condition(_FROZEN, [1.0, 2.0])
     with pytest.raises(ValidationError):
         condition(_FROZEN, [float("nan")])
+
+
+def test_marginal_q_density_survives_a_singular_quality_block():
+    model = _model([1.0], [[0.0] * 4], [np.diag([0.0, 1.0, 1.0, 1.0])], d_q=2, d_r=2)
+    ridge = RIDGE_FACTOR * 0.5  # trace / d of the quality block diag(0, 1)
+    expected = 1.0 / (2.0 * math.pi * math.sqrt(ridge * (1.0 + ridge)))
+    assert marginal_q_density(model, [0.0, 0.0]) == pytest.approx(expected, rel=1e-12)
 
 
 def test_marginal_q_density_values_and_mass():
