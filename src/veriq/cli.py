@@ -80,16 +80,21 @@ def _evaluation_grid(records, regions, args) -> np.ndarray:
 
 
 def cmd_fit(args) -> int:
-    records = dataio.parse_records(_read_text(args.records))
-    match_scores, nonmatch_scores = _match_nonmatch(records)
-    if match_scores.size == 0 or nonmatch_scores.size == 0:
-        raise ValidationError("fitting needs both match and nonmatch records")
     if args.k_min < 1 or args.k_max < args.k_min:
         raise UsageError("require 1 <= --k-min <= --k-max")
     if args.max_iter < 1:
         raise UsageError("--max-iter must be >= 1")
     if not args.tol > 0:  # also rejects nan
         raise UsageError("--tol must be positive")
+    if not 0 < args.alpha < 1:  # also rejects nan
+        raise UsageError("--alpha must lie strictly between 0 and 1")
+    if args.grid_points < 1:
+        raise UsageError("--grid-points must be >= 1")
+    families = _parse_cov_models(args.cov_models)
+    records = dataio.parse_records(_read_text(args.records))
+    match_scores, nonmatch_scores = _match_nonmatch(records)
+    if match_scores.size == 0 or nonmatch_scores.size == 0:
+        raise ValidationError("fitting needs both match and nonmatch records")
     prior = errormodel.BetaPosterior(args.prior_a, args.prior_b)
     operating_point, achieved = metrics.threshold_for_fmr(nonmatch_scores, args.fmr)
     threshold = operating_point.threshold
@@ -98,7 +103,6 @@ def cmd_fit(args) -> int:
     training = errormodel.qr_training_matrix(
         records, regions, threshold, args.n_rand, args.seed, prior
     )
-    families = _parse_cov_models(args.cov_models)
     best, table = mixture.model_search(
         training,
         range(args.k_min, args.k_max + 1),

@@ -38,24 +38,16 @@ _TINY = 1e-300
 
 
 def n_cov_params(code: str, k: int, d: int) -> int:
-    """Free covariance parameters for one family across K components."""
-    orientation = d * (d - 1) // 2
-    shape = d - 1
-    table = {
-        "EII": 1,
-        "VII": k,
-        "EEI": 1 + shape,
-        "VEI": k + shape,
-        "EVI": 1 + k * shape,
-        "VVI": k * d,
-        "EEE": 1 + shape + orientation,
-        "EEV": 1 + shape + k * orientation,
-        "VEV": k + shape + k * orientation,
-        "VVV": k * (1 + shape + orientation),
-    }
-    if code not in table:
+    """Free covariance parameters for one family across K components.
+
+    Volume (1), shape (d - 1) and orientation (d(d - 1)/2) each count once if
+    shared (E), K times if free per component (V), not at all if the identity (I).
+    """
+    if code not in PARAMETRIZATIONS:
         raise ValidationError(f"unknown covariance family {code!r}")
-    return table[code]
+    copies = {"E": 1, "V": k, "I": 0}
+    volume, shape, orientation = (copies[letter] for letter in code)
+    return volume + shape * (d - 1) + orientation * (d * (d - 1) // 2)
 
 
 def n_params(code: str, k: int, d: int) -> int:
@@ -191,11 +183,10 @@ def _ensure_spd(covs: np.ndarray, context: str, counters: dict) -> np.ndarray:
     )
 
 
-def _shape_normalize(diag_values: np.ndarray) -> tuple[np.ndarray, float]:
-    """Split a positive diagonal into (unit-determinant shape, volume)."""
-    safe = np.maximum(diag_values, _TINY)
-    log_vol = float(np.mean(np.log(safe)))
-    volume = math.exp(log_vol)
+def _shape_normalize(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Split positive values along the last axis into (unit-determinant shape, volume)."""
+    safe = np.maximum(values, _TINY)
+    volume = np.exp(np.mean(np.log(safe), axis=-1, keepdims=True))
     return safe / volume, volume
 
 
@@ -205,107 +196,74 @@ def _project_covariances(
     nk: np.ndarray,
     prev_cov: np.ndarray | None,
 ) -> np.ndarray:
-    """Constrained M-step for the covariances.
+    """Constrained M-step for the covariances, read from the family's letters.
 
+    cov_k = lam_k * D_k diag(A_k) D_k^T: volume lam_k, unit-determinant shape
+    A_k, orientation D_k. The code's letters say whether each is shared (E),
+    free per component (V) or the identity (I) (Celeux & Govaert 1995).
     scatter: (K, d, d) responsibility-weighted scatter around the new means.
-    Families with coupled volume/shape (VEI, VEV) run a coordinate-descent
-    inner loop warm-started from the previous covariances so the EM
-    objective never decreases. VEV re-pairs eigenvalues with the shared shape
-    inside the same budgeted loop; EEV's shared shape is closed-form.
+    When the letters other than I agree, the pooled (E) or per-component (V)
+    scatter over its count is the estimate: its trace if the shape is I, its
+    diagonal if the orientation is I. Otherwise the eigenvalues (the diagonal
+    if the orientation is I) are split into volume and shape: EEV pools both,
+    EVI the volume, and VEI/VEV share the shape by a coordinate descent
+    warm-started from prev_cov, so the EM objective never decreases.
     """
+    volume, shape, orientation = code
     k, d, _ = scatter.shape
     n_total = float(np.sum(nk))
-
-    if code == "EII":
-        lam = float(np.trace(scatter.sum(axis=0))) / (n_total * d)
-        return np.broadcast_to(lam * np.eye(d), (k, d, d)).copy()
-    if code == "VII":
-        lam = np.trace(scatter, axis1=1, axis2=2) / (np.maximum(nk, _TINY) * d)
-        return lam[:, None, None] * np.eye(d)
-    if code == "EEI":
-        diag = np.diagonal(scatter.sum(axis=0)) / n_total
-        return np.broadcast_to(np.diag(diag), (k, d, d)).copy()
-    if code == "VVI":
-        out = np.zeros((k, d, d))
-        out[:, range(d), range(d)] = (
-            np.diagonal(scatter, axis1=1, axis2=2) / np.maximum(nk, _TINY)[:, None]
-        )
-        return out
-    if code == "EVI":
-        shapes = np.empty((k, d))
-        volumes = np.empty(k)
-        for j in range(k):
-            shapes[j], volumes[j] = _shape_normalize(np.diagonal(scatter[j]))
-        lam = float(np.sum(volumes)) / n_total
-        return np.array([np.diag(lam * shapes[j]) for j in range(k)])
-    if code == "VEI":
-        diags = np.array([np.diagonal(scatter[j]) for j in range(k)])
-        if prev_cov is not None:
-            lam = np.array(
-                [math.exp(float(np.mean(np.log(np.maximum(np.diagonal(c), _TINY)))))
-                 for c in prev_cov]
-            )
+    counts = np.maximum(nk, _TINY)
+    vecs = None
+    if len(set(code) - {"I"}) == 1:
+        if volume == "E":
+            base, count = scatter.sum(axis=0, keepdims=True), np.array([n_total])
         else:
-            lam = np.array(
-                [float(np.trace(scatter[j])) / (max(nk[j], _TINY) * d) for j in range(k)]
-            )
-        lam = np.maximum(lam, _TINY)
-        shape = np.ones(d)
-        for _ in range(ORIENTATION_INNER_ITER):
-            shape_new, _ = _shape_normalize((diags / lam[:, None]).sum(axis=0))
-            lam_new = np.maximum(
-                (diags / shape_new[None, :]).sum(axis=1) / (np.maximum(nk, _TINY) * d),
-                _TINY,
-            )
-            done = np.allclose(lam_new, lam, rtol=1e-12) and np.allclose(
-                shape_new, shape, rtol=1e-12
-            )
-            lam, shape = lam_new, shape_new
-            if done:
-                break
-        return np.array([np.diag(lam[j] * shape) for j in range(k)])
-    if code == "EEE":
-        pooled = scatter.sum(axis=0) / n_total
-        return np.broadcast_to(pooled, (k, d, d)).copy()
-    if code == "VVV":
-        return scatter / np.maximum(nk, _TINY)[:, None, None]
-
-    # orientation families: eigendecompose each scatter, eigenvalues descending
-    vals, vecs = np.linalg.eigh(0.5 * (scatter + np.swapaxes(scatter, 1, 2)))
-    order = np.argsort(vals, axis=1)[:, ::-1]
-    eigvals = np.maximum(np.take_along_axis(vals, order, axis=1), 0.0)
-    eigvecs = np.take_along_axis(vecs, order[:, None, :], axis=2)
-
-    if code == "EEV":
-        shape, volume = _shape_normalize(eigvals.sum(axis=0))
-        lam = volume / n_total
-        return (eigvecs * (lam * shape)) @ np.swapaxes(eigvecs, 1, 2)
-    if code == "VEV":
-        if prev_cov is not None:
-            lam = np.empty(k)
-            for j in range(k):
-                sign, logdet = np.linalg.slogdet(prev_cov[j])
-                lam[j] = math.exp(logdet / d) if sign > 0 else _TINY
+            base, count = scatter, counts
+        if shape == "I":
+            lam = np.trace(base, axis1=1, axis2=2) / (count * d)
+            eig = np.repeat(lam[:, None], d, axis=1)
+        elif orientation == "I":
+            eig = np.diagonal(base, axis1=1, axis2=2) / count[:, None]
         else:
-            lam = np.array(
-                [float(np.trace(scatter[j])) / (max(nk[j], _TINY) * d) for j in range(k)]
-            )
-        lam = np.maximum(lam, _TINY)
-        shape = np.ones(d)
-        for _ in range(ORIENTATION_INNER_ITER):
-            shape_new, _ = _shape_normalize((eigvals / lam[:, None]).sum(axis=0))
-            lam_new = np.maximum(
-                (eigvals / shape_new[None, :]).sum(axis=1) / (np.maximum(nk, _TINY) * d),
-                _TINY,
-            )
-            done = np.allclose(lam_new, lam, rtol=1e-12) and np.allclose(
-                shape_new, shape, rtol=1e-12
-            )
-            lam, shape = lam_new, shape_new
-            if done:
-                break
-        return (eigvecs * (lam[:, None, None] * shape)) @ np.swapaxes(eigvecs, 1, 2)
-    raise ValidationError(f"unknown covariance family {code!r}")
+            return np.broadcast_to(base / count[:, None, None], (k, d, d)).copy()
+    else:
+        if orientation == "I":
+            vals = np.diagonal(scatter, axis1=1, axis2=2)
+        else:  # eigenvalues descending, with their eigenvectors
+            vals, vecs = np.linalg.eigh(0.5 * (scatter + np.swapaxes(scatter, 1, 2)))
+            order = np.argsort(vals, axis=1)[:, ::-1]
+            vals = np.maximum(np.take_along_axis(vals, order, axis=1), 0.0)
+            vecs = np.take_along_axis(vecs, order[:, None, :], axis=2)
+        if volume == shape:  # EEV
+            unit, lam = _shape_normalize(vals.sum(axis=0))
+            eig = lam / n_total * unit
+        elif volume == "E":  # EVI
+            unit, lam = _shape_normalize(vals)
+            eig = float(np.sum(lam)) / n_total * unit
+        else:  # VEI, VEV
+            if prev_cov is None:
+                lam = np.trace(scatter, axis1=1, axis2=2) / (counts * d)
+            else:
+                sign, logdet = np.linalg.slogdet(prev_cov)
+                lam = np.where(sign > 0, np.exp(logdet / d), _TINY)
+            lam = np.maximum(lam, _TINY)
+            unit = np.ones(d)
+            for _ in range(ORIENTATION_INNER_ITER):
+                unit_new, _ = _shape_normalize((vals / lam[:, None]).sum(axis=0))
+                lam_new = np.maximum((vals / unit_new).sum(axis=1) / (counts * d), _TINY)
+                done = all(
+                    np.all(np.abs(new - old) <= 1e-8 + 1e-12 * np.abs(old))
+                    for new, old in ((lam_new, lam), (unit_new, unit))
+                )
+                lam, unit = lam_new, unit_new
+                if done:
+                    break
+            eig = lam[:, None] * unit
+    if vecs is not None:
+        return (vecs * eig[..., None, :]) @ np.swapaxes(vecs, 1, 2)
+    out = np.zeros((k, d, d))
+    out[:, range(d), range(d)] = eig
+    return out
 
 
 def _kmeans_pp_centers(data: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

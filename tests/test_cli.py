@@ -220,6 +220,29 @@ def test_fit_rejects_em_settings_that_cannot_run(tmp_path, capsys, flag, value):
     assert err.startswith("usage error:") and flag in err
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--alpha", "2"), ("--alpha", "0"), ("--alpha", "nan"),
+     ("--grid-points", "0"), ("--grid-points", "-1")],
+)
+def test_fit_rejects_bad_output_settings_before_writing(tmp_path, capsys, flag, value):
+    records, _ = synth(tmp_path, capsys)
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = ["fit", str(records)] + FIT_FLAGS + [
+        f"{flag}={value}",
+        "--out-model", str(out / "model.json"),
+        "--out-bic", str(out / "bic.csv"),
+        "--out-grid", str(out / "grid.csv"),
+        "--out-regions", str(out / "regions.csv"),
+        "--out-posteriors", str(out / "posteriors.csv"),
+    ]
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert err.startswith("usage error:") and flag in err
+    assert list(out.iterdir()) == []
+
+
 def test_predict_matches_library_conditioning(fitted, tmp_path, capsys):
     _, out, _ = fitted
     queries = np.array([[0.1, 0.2], [0.5, 0.5], [0.9, 0.4]])

@@ -16,6 +16,7 @@ from veriq.errormodel import OperatingPoint
 from veriq.errors import NumericError, ValidationError
 from veriq.mixture import (
     _TINY,
+    ORIENTATION_INNER_ITER,
     PARAMETRIZATIONS,
     RIDGE_FACTOR,
     MixtureModel,
@@ -70,6 +71,24 @@ _FROZEN = _model(
 # ------------------------------------------------------- parameter counts
 
 
+def _reference_n_cov_params(code, k, d):
+    """The per-family table the letter formula replaced."""
+    orientation = d * (d - 1) // 2
+    shape = d - 1
+    return {
+        "EII": 1,
+        "VII": k,
+        "EEI": 1 + shape,
+        "VEI": k + shape,
+        "EVI": 1 + k * shape,
+        "VVI": k * d,
+        "EEE": 1 + shape + orientation,
+        "EEV": 1 + shape + k * orientation,
+        "VEV": k + shape + k * orientation,
+        "VVV": k * (1 + shape + orientation),
+    }[code]
+
+
 def test_cov_param_counts_for_k3_d4():
     expected = {
         "EII": 1, "VII": 3, "EEI": 4, "VEI": 6, "EVI": 10,
@@ -78,6 +97,10 @@ def test_cov_param_counts_for_k3_d4():
     for code, count in expected.items():
         assert n_cov_params(code, 3, 4) == count
         assert n_params(code, 3, 4) == (3 - 1) + 3 * 4 + count
+    for code in PARAMETRIZATIONS:
+        for k in range(1, 7):
+            for d in range(1, 7):
+                assert n_cov_params(code, k, d) == _reference_n_cov_params(code, k, d)
 
 
 def test_full_model_count_formula():
@@ -502,7 +525,141 @@ def _reference_ensure_spd(cov, context, counters):
     raise NumericError(f"{context}: covariance cannot be made positive definite")
 
 
-def _reference_m_step(data, resp, code):
+def _reference_shape_normalize(diag_values: np.ndarray) -> tuple[np.ndarray, float]:
+    """Split a positive diagonal into (unit-determinant shape, volume)."""
+    safe = np.maximum(diag_values, _TINY)
+    log_vol = float(np.mean(np.log(safe)))
+    volume = math.exp(log_vol)
+    return safe / volume, volume
+
+
+def _reference_project_covariances(
+    code: str,
+    scatter: np.ndarray,
+    nk: np.ndarray,
+    prev_cov: np.ndarray | None,
+) -> np.ndarray:
+    """Constrained M-step for the covariances.
+
+    scatter: (K, d, d) responsibility-weighted scatter around the new means.
+    Families with coupled volume/shape (VEI, VEV) run a coordinate-descent
+    inner loop warm-started from the previous covariances so the EM
+    objective never decreases. VEV re-pairs eigenvalues with the shared shape
+    inside the same budgeted loop; EEV's shared shape is closed-form.
+    """
+    k, d, _ = scatter.shape
+    n_total = float(np.sum(nk))
+
+    if code == "EII":
+        lam = float(np.trace(scatter.sum(axis=0))) / (n_total * d)
+        return np.broadcast_to(lam * np.eye(d), (k, d, d)).copy()
+    if code == "VII":
+        lam = np.trace(scatter, axis1=1, axis2=2) / (np.maximum(nk, _TINY) * d)
+        return lam[:, None, None] * np.eye(d)
+    if code == "EEI":
+        diag = np.diagonal(scatter.sum(axis=0)) / n_total
+        return np.broadcast_to(np.diag(diag), (k, d, d)).copy()
+    if code == "VVI":
+        out = np.zeros((k, d, d))
+        out[:, range(d), range(d)] = (
+            np.diagonal(scatter, axis1=1, axis2=2) / np.maximum(nk, _TINY)[:, None]
+        )
+        return out
+    if code == "EVI":
+        shapes = np.empty((k, d))
+        volumes = np.empty(k)
+        for j in range(k):
+            shapes[j], volumes[j] = _reference_shape_normalize(np.diagonal(scatter[j]))
+        lam = float(np.sum(volumes)) / n_total
+        return np.array([np.diag(lam * shapes[j]) for j in range(k)])
+    if code == "VEI":
+        diags = np.array([np.diagonal(scatter[j]) for j in range(k)])
+        if prev_cov is not None:
+            lam = np.array(
+                [math.exp(float(np.mean(np.log(np.maximum(np.diagonal(c), _TINY)))))
+                 for c in prev_cov]
+            )
+        else:
+            lam = np.array(
+                [float(np.trace(scatter[j])) / (max(nk[j], _TINY) * d) for j in range(k)]
+            )
+        lam = np.maximum(lam, _TINY)
+        shape = np.ones(d)
+        for _ in range(ORIENTATION_INNER_ITER):
+            shape_new, _ = _reference_shape_normalize((diags / lam[:, None]).sum(axis=0))
+            lam_new = np.maximum(
+                (diags / shape_new[None, :]).sum(axis=1) / (np.maximum(nk, _TINY) * d),
+                _TINY,
+            )
+            done = np.allclose(lam_new, lam, rtol=1e-12) and np.allclose(
+                shape_new, shape, rtol=1e-12
+            )
+            lam, shape = lam_new, shape_new
+            if done:
+                break
+        return np.array([np.diag(lam[j] * shape) for j in range(k)])
+    if code == "EEE":
+        pooled = scatter.sum(axis=0) / n_total
+        return np.broadcast_to(pooled, (k, d, d)).copy()
+    if code == "VVV":
+        return scatter / np.maximum(nk, _TINY)[:, None, None]
+
+    # orientation families: eigendecompose each scatter, eigenvalues descending
+    vals, vecs = np.linalg.eigh(0.5 * (scatter + np.swapaxes(scatter, 1, 2)))
+    order = np.argsort(vals, axis=1)[:, ::-1]
+    eigvals = np.maximum(np.take_along_axis(vals, order, axis=1), 0.0)
+    eigvecs = np.take_along_axis(vecs, order[:, None, :], axis=2)
+
+    if code == "EEV":
+        shape, volume = _reference_shape_normalize(eigvals.sum(axis=0))
+        lam = volume / n_total
+        return (eigvecs * (lam * shape)) @ np.swapaxes(eigvecs, 1, 2)
+    if code == "VEV":
+        if prev_cov is not None:
+            lam = np.empty(k)
+            for j in range(k):
+                sign, logdet = np.linalg.slogdet(prev_cov[j])
+                lam[j] = math.exp(logdet / d) if sign > 0 else _TINY
+        else:
+            lam = np.array(
+                [float(np.trace(scatter[j])) / (max(nk[j], _TINY) * d) for j in range(k)]
+            )
+        lam = np.maximum(lam, _TINY)
+        shape = np.ones(d)
+        for _ in range(ORIENTATION_INNER_ITER):
+            shape_new, _ = _reference_shape_normalize((eigvals / lam[:, None]).sum(axis=0))
+            lam_new = np.maximum(
+                (eigvals / shape_new[None, :]).sum(axis=1) / (np.maximum(nk, _TINY) * d),
+                _TINY,
+            )
+            done = np.allclose(lam_new, lam, rtol=1e-12) and np.allclose(
+                shape_new, shape, rtol=1e-12
+            )
+            lam, shape = lam_new, shape_new
+            if done:
+                break
+        return (eigvecs * (lam[:, None, None] * shape)) @ np.swapaxes(eigvecs, 1, 2)
+    raise ValidationError(f"unknown covariance family {code!r}")
+
+
+# The letter-driven projection reproduces the per-family one bit for bit where
+# the arithmetic is the same; where it splits eigenvalues into volume and shape,
+# numpy's vectorised exp may differ from math.exp in the last bit.
+_BIT_EXACT_FAMILIES = ("EII", "VII", "EEI", "VVI", "EEE", "VVV")
+
+
+def _assert_matches_reference_projection(code, got, ref):
+    if code in _BIT_EXACT_FAMILIES:
+        np.testing.assert_array_equal(got, ref)
+    else:
+        # relative to each component's largest entry; the inf and nan a
+        # degenerate scatter gives must appear in the same places
+        scale = np.max(np.abs(ref), axis=(1, 2), keepdims=True)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            np.testing.assert_allclose(got / scale, ref / scale, rtol=0, atol=1e-12)
+
+
+def _reference_m_step(data, resp, code, project=_reference_project_covariances):
     n = data.shape[0]
     nk = resp.sum(axis=1)
     means = (resp @ data) / np.maximum(nk, _TINY)[:, None]
@@ -510,7 +667,7 @@ def _reference_m_step(data, resp, code):
     for j in range(resp.shape[0]):
         diff = data - means[j]
         scatter[j] = (resp[j][:, None] * diff).T @ diff
-    covs = mixture._project_covariances(code, scatter, nk, None)
+    covs = project(code, scatter, nk, None)
     counters = {}
     covs = np.array([
         _reference_ensure_spd(c, f"component {j}", counters) for j, c in enumerate(covs)
@@ -614,12 +771,48 @@ def test_batched_m_step_matches_per_component_loop(case, code, seed):
     resp = resp[: rng.integers(1, 7)]
     counters = {}
     weights, means, covs = mixture._m_step(data, resp, code, None, counters)
-    ref_weights, ref_means, ref_covs, ref_counters = _reference_m_step(data, resp, code)
+    ref_weights, ref_means, ref_covs, _ = _reference_m_step(data, resp, code)
     np.testing.assert_array_equal(weights, ref_weights)
     np.testing.assert_array_equal(means, ref_means)
+    _assert_matches_reference_projection(code, covs, ref_covs)
     # the scatter is stored so that BLAS sums it in the loop's order
-    np.testing.assert_array_equal(covs, ref_covs)
-    assert counters == ref_counters
+    _, _, loop_covs, loop_counters = _reference_m_step(
+        data, resp, code, mixture._project_covariances
+    )
+    np.testing.assert_array_equal(covs, loop_covs)
+    assert counters == loop_counters
+
+
+@st.composite
+def _scatters(draw):
+    """Random full-rank scatters, counts and optional previous covariances."""
+    k = draw(st.integers(1, 6))
+    d = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    nk = 10.0 ** rng.uniform(-3.0, 3.0, size=k)
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    scatter = scale * nk[:, None, None] * _spd_stack(rng, k, d, draw(st.floats(0.0, 4.0)))
+    # the previous iterate, like EM's, is a covariance stack of the same family
+    prev_scatter = None
+    if draw(st.booleans()):
+        prev_scatter = scale * nk[:, None, None] * _spd_stack(rng, k, d, 4.0)
+    return scatter, nk, prev_scatter
+
+
+@settings(max_examples=200, deadline=None)
+@given(_scatters())
+def test_letter_projection_matches_per_family_reference(case):
+    scatter, nk, prev_scatter = case
+    for code in PARAMETRIZATIONS:
+        prev = None
+        if prev_scatter is not None:
+            prev = _reference_project_covariances(code, prev_scatter, nk, None)
+        got = mixture._project_covariances(code, scatter, nk, prev)
+        ref = _reference_project_covariances(code, scatter, nk, prev)
+        assert got.shape == ref.shape == scatter.shape
+        _assert_matches_reference_projection(code, got, ref)
+        scale = max(1.0, float(np.max(np.abs(got))))
+        assert family_violation(code, got) <= 1e-8 * scale
 
 
 def test_ensure_spd_repairs_each_component_like_the_loop(caplog):
