@@ -125,13 +125,12 @@ def cmd_fit(args) -> int:
         ],
     )
     eval_grid = _evaluation_grid(records, regions, args)
-    grid_rows = []
-    for point in eval_grid:
-        pred = mixture.condition(best, point)
-        rates = np.clip(pred.expectation, 0.0, 1.0)
-        grid_rows.append(tuple(point) + (float(rates[0]), float(rates[1])))
+    rates, _, _ = mixture.predict(best, eval_grid)
     q_names = [f"q{i}" for i in range(1, records.quality_dim + 1)]
-    dataio.write_csv(args.out_grid, q_names + ["fmr_hat", "fnmr_hat"], grid_rows)
+    dataio.write_csv(
+        args.out_grid, q_names + ["fmr_hat", "fnmr_hat"],
+        [tuple(point) + tuple(rate) for point, rate in zip(eval_grid.tolist(), rates.tolist())],
+    )
 
     if args.out_regions:
         quality.write_regions_csv(regions, args.out_regions)
@@ -177,28 +176,20 @@ def cmd_predict(args) -> int:
         raise ValidationError(
             f"quality file has {queries.shape[1]} axes, model expects {model.d_q}"
         )
-    rows = []
-    for point in queries:
-        pred = mixture.condition(model, point)
-        raw = pred.expectation
-        rates = np.clip(raw, 0.0, 1.0)
-        rows.append(
-            tuple(point)
-            + (
-                float(rates[0]),
-                float(rates[1]),
-                bool(raw[0] != rates[0]),
-                bool(raw[1] != rates[1]),
-                int(np.argmax(pred.psi)),
-            )
-        )
+    rates, clamped, top = mixture.predict(model, queries)
     q_names = [f"q{i}" for i in range(1, model.d_q + 1)]
     dataio.write_csv(
         args.out,
         q_names + ["fmr_hat", "fnmr_hat", "fmr_clamped", "fnmr_clamped", "top_component"],
-        rows,
+        [
+            tuple(point) + tuple(rate) + tuple(flags) + (component,)
+            for point, rate, flags, component in zip(
+                queries.tolist(), rates.tolist(), clamped.tolist(), top.tolist()
+            )
+        ],
     )
-    print(f"predictions={len(rows)}")
+    print(f"predictions={len(queries)}")
+    print(f"clamped={int(np.count_nonzero(clamped.any(axis=1)))}")
     return 0
 
 

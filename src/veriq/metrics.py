@@ -57,7 +57,21 @@ def _as_scores(values, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float).reshape(-1)
     if arr.size == 0:
         raise EmptyClassError(f"{name} score set is empty")
+    if np.any(np.isnan(arr)):
+        raise ValidationError(f"{name} scores must not be NaN")
     return arr
+
+
+def _far_frr_at(match, nonmatch, thresholds) -> tuple[np.ndarray, np.ndarray]:
+    """FAR and FRR at every threshold from one sort per class.
+
+    searchsorted(..., "left") counts the scores strictly below each
+    threshold, which keeps the >= accept boundary (Fawcett 2006, Alg. 1).
+    """
+    match = np.sort(match)
+    nonmatch = np.sort(nonmatch)
+    accepted = nonmatch.size - np.searchsorted(nonmatch, thresholds, "left")
+    return accepted / nonmatch.size, np.searchsorted(match, thresholds, "left") / match.size
 
 
 def far_frr(match_scores, nonmatch_scores, threshold: float) -> tuple[float, float]:
@@ -103,16 +117,18 @@ def candidate_thresholds(match_scores, nonmatch_scores) -> np.ndarray:
 
 
 def roc(match_scores, nonmatch_scores, thresholds=None) -> RocCurve:
-    """Evaluate far_frr on each threshold and sort points by FAR."""
+    """FAR and FRR at each threshold, points sorted by FAR."""
     match = _as_scores(match_scores, "match")
     nonmatch = _as_scores(nonmatch_scores, "nonmatch")
     if thresholds is None:
         thresholds = candidate_thresholds(match, nonmatch)
-    thresholds = np.asarray(thresholds, dtype=float).reshape(-1)
-    if thresholds.size == 0:
-        raise ValidationError("need at least one threshold")
-    far = np.array([float(np.mean(nonmatch >= t)) for t in thresholds])
-    frr = np.array([float(np.mean(match < t)) for t in thresholds])
+    else:
+        thresholds = np.asarray(thresholds, dtype=float).reshape(-1)
+        if thresholds.size == 0:
+            raise ValidationError("need at least one threshold")
+        if np.any(np.isnan(thresholds)):
+            raise ValidationError("thresholds must not be NaN")
+    far, frr = _far_frr_at(match, nonmatch, thresholds)
     # descending thresholds give FAR ascending; stable for ties
     order = np.argsort(-thresholds, kind="stable")
     return RocCurve(thresholds[order], far[order], frr[order])
@@ -132,15 +148,8 @@ def select_hter_threshold(match_scores, nonmatch_scores) -> float:
     match = _as_scores(match_scores, "match")
     nonmatch = _as_scores(nonmatch_scores, "nonmatch")
     candidates = candidate_thresholds(match, nonmatch)
-    best_t = None
-    best_value = math.inf
-    for t in candidates:
-        far, frr = far_frr(match, nonmatch, t)
-        value = (far + frr) / 2.0
-        if value < best_value:
-            best_value = value
-            best_t = float(t)
-    return best_t
+    far, frr = _far_frr_at(match, nonmatch, candidates)
+    return float(candidates[np.argmin((far + frr) / 2.0)])  # first minimum
 
 
 def hter(match_scores, nonmatch_scores, threshold: float) -> float:
@@ -149,17 +158,10 @@ def hter(match_scores, nonmatch_scores, threshold: float) -> float:
     return (far + frr) / 2.0
 
 
-def _residual_error(scores, labels_relevant, threshold, error_kind):
-    # scores/flags restricted to retained attempts
-    relevant = labels_relevant
-    n_rel = int(np.sum(relevant))
-    if n_rel == 0:
-        return 0.0, True
-    if error_kind == "fnmr":
-        errs = np.sum((scores < threshold) & relevant)
-    else:
-        errs = np.sum((scores >= threshold) & relevant)
-    return float(errs / n_rel), False
+def _kept_counts(flags: np.ndarray, order: np.ndarray, n_reject: np.ndarray) -> np.ndarray:
+    """How many flagged attempts remain once the first n_reject of order are rejected."""
+    suffix = np.cumsum(flags[order][::-1])[::-1]
+    return np.append(suffix, 0)[n_reject]
 
 
 def erc(
@@ -205,19 +207,16 @@ def erc(
 
     n_grid = int(round(1.0 / grid_step))
     fractions = np.arange(n_grid + 1) / n_grid
-    residual = np.empty(fractions.shape)
-    ideal = np.empty(fractions.shape)
-    flags = np.zeros(fractions.shape, dtype=bool)
-    for i, frac in enumerate(fractions):
-        n_reject = int(round(frac * n))
-        keep = order[n_reject:]
-        residual[i], flags[i] = _residual_error(
-            scores[keep], relevant[keep], threshold, error_kind
-        )
-        keep_ideal = ideal_order[n_reject:]
-        ideal[i], _ = _residual_error(
-            scores[keep_ideal], relevant[keep_ideal], threshold, error_kind
-        )
+    n_reject = np.rint(fractions * n).astype(int)  # half to even, as round()
+
+    def residual_error(rejection_order):
+        kept_relevant = _kept_counts(relevant, rejection_order, n_reject)
+        kept_erring = _kept_counts(erring, rejection_order, n_reject)
+        empty = kept_relevant == 0
+        return np.where(empty, 0.0, kept_erring / np.maximum(kept_relevant, 1)), empty
+
+    residual, flags = residual_error(order)
+    ideal, _ = residual_error(ideal_order)
     residual[-1] = 0.0
     ideal[-1] = 0.0
     return ErcCurve(fractions, residual, ideal, error_kind, flags)

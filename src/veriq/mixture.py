@@ -313,7 +313,12 @@ def _m_step(
     weighted = np.empty((len(nk), n, d)).transpose(0, 2, 1)
     np.multiply(resp[:, None, :], diff, out=weighted)
     scatter = weighted @ np.swapaxes(diff, 1, 2)
-    covs = _project_covariances(code, scatter, nk, prev_cov)
+    try:
+        covs = _project_covariances(code, scatter, nk, prev_cov)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"{code} covariance projection failed: {exc}") from exc
+    if not np.all(np.isfinite(covs)):
+        raise NumericError(f"{code} covariance projection is not finite")
     return weights, means, _ensure_spd(covs, "component", counters)
 
 
@@ -511,6 +516,65 @@ def _split_blocks(model: MixtureModel):
     return mu_q, mu_r, sigma_qq, sigma_qr, sigma_rr
 
 
+def _sum_rows(terms: np.ndarray) -> np.ndarray:
+    """Sum along the first axis one term at a time.
+
+    Each output entry is then rounded the same way whatever the other axes
+    hold; numpy's pairwise sum and BLAS products change their order with
+    the size of the batch.
+    """
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
+    return total
+
+
+def _condition_rows(model: MixtureModel, queries: np.ndarray):
+    """Condition the mixture on each row of an (M, d_q) matrix of finite queries.
+
+    Returns psi (K, M), conditional means (K, d_r, M), conditional
+    covariances (K, d_r, d_r), expectations (M, d_r) and the log marginal
+    quality density (M,). The short axes (d_q, K) are summed by _sum_rows,
+    so every row comes out bit for bit as it would in a batch of one.
+    """
+    if queries.ndim != 2:
+        raise ValidationError(f"queries must form an (M, d_q) matrix, got shape {queries.shape}")
+    if queries.shape[1] != model.d_q:
+        raise ValidationError(
+            f"query has dimension {queries.shape[1]}, model expects {model.d_q}"
+        )
+    if not np.all(np.isfinite(queries)):
+        raise ValidationError("query vector must be finite")
+    mu_q, mu_r, sigma_qq, sigma_qr, sigma_rr = _split_blocks(model)
+    sigma_qq = _ensure_spd(sigma_qq, "quality block of component", {})
+    chol = np.linalg.cholesky(sigma_qq)
+    inv_chol = np.linalg.inv(chol)
+    solved = np.linalg.solve(sigma_qq, sigma_qr)
+    cond_covs = sigma_rr - np.swapaxes(sigma_qr, 1, 2) @ solved
+    logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
+    log_const = model.d_q * math.log(2.0 * math.pi) + logdet
+    log_weight = np.log(np.maximum(model.weights, _TINY))
+
+    diff = queries.T[:, None, :] - mu_q.T[:, :, None]  # (d_q, K, M)
+    whitened = np.array([
+        _sum_rows(inv_chol[:, i, : i + 1].T[:, :, None] * diff[: i + 1])
+        for i in range(model.d_q)
+    ])
+    quad = _sum_rows(whitened * whitened)
+    log_w = -0.5 * (log_const[:, None] + quad) + log_weight[:, None]  # (K, M)
+
+    peak = np.max(log_w, axis=0)
+    peak = np.where(np.isfinite(peak), peak, 0.0)
+    with np.errstate(divide="ignore"):
+        log_norm = np.log(_sum_rows(np.exp(log_w - peak))) + peak
+    psi = np.exp(log_w - log_norm)
+    psi = psi / _sum_rows(psi)
+    shift = _sum_rows(np.swapaxes(solved, 0, 1)[:, :, :, None] * diff[:, :, None, :])
+    cond_means = mu_r[:, :, None] + shift
+    expectation = _sum_rows(psi[:, None, :] * cond_means).T
+    return psi, cond_means, cond_covs, expectation, log_norm
+
+
 def condition(model: MixtureModel, q) -> ConditionalPrediction:
     """Condition the mixture on a quality vector.
 
@@ -518,34 +582,29 @@ def condition(model: MixtureModel, q) -> ConditionalPrediction:
     of the performance block given q; weights are proportional to the
     component's marginal density at q, normalized in the log domain.
     """
-    q = np.asarray(q, dtype=float).reshape(-1)
-    if q.shape[0] != model.d_q:
-        raise ValidationError(
-            f"query has dimension {q.shape[0]}, model expects {model.d_q}"
-        )
-    if not np.all(np.isfinite(q)):
-        raise ValidationError("query vector must be finite")
-    mu_q, mu_r, sigma_qq, sigma_qr, sigma_rr = _split_blocks(model)
-    sigma_qq = _ensure_spd(sigma_qq, "quality block of component", {})
-    log_w = _log_component_densities(q, model.weights, mu_q, sigma_qq)[:, 0]
-    solved = np.linalg.solve(sigma_qq, sigma_qr)
-    cond_means = mu_r + ((q - mu_q)[:, None, :] @ solved)[:, 0, :]
-    cond_covs = sigma_rr - np.swapaxes(sigma_qr, 1, 2) @ solved
-    psi = np.exp(log_w - _logsumexp(log_w))
-    psi /= psi.sum()
-    expectation = psi @ cond_means
-    return ConditionalPrediction(psi, cond_means, cond_covs, expectation)
+    q = np.asarray(q, dtype=float).reshape(1, -1)
+    psi, cond_means, cond_covs, expectation, _ = _condition_rows(model, q)
+    return ConditionalPrediction(psi[:, 0], cond_means[:, :, 0], cond_covs, expectation[0])
+
+
+def predict(model: MixtureModel, queries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Predicted rates for each row of an (M, d_q) quality matrix.
+
+    Returns the expectations clamped into [0, 1] (M, d_r), per-rate flags
+    marking the entries the clamp moved (M, d_r) and the component with
+    the largest conditional weight (M,). Row i equals condition(model,
+    queries[i]) bit for bit.
+    """
+    queries = np.asarray(queries, dtype=float)
+    psi, _, _, expectation, _ = _condition_rows(model, queries)
+    rates = np.clip(expectation, 0.0, 1.0)
+    return rates, rates != expectation, np.argmax(psi, axis=0)
 
 
 def marginal_q_density(model: MixtureModel, q) -> float:
     """Mixture density of the quality block at q."""
     q = np.asarray(q, dtype=float).reshape(1, -1)
-    if q.shape[1] != model.d_q:
-        raise ValidationError("query dimension mismatch")
-    mu_q, _, sigma_qq, _, _ = _split_blocks(model)
-    sigma_qq = _ensure_spd(sigma_qq, "quality block of component", {})
-    log_terms = _log_component_densities(q, model.weights, mu_q, sigma_qq)[:, 0]
-    return float(np.exp(_logsumexp(log_terms)))
+    return float(np.exp(_condition_rows(model, q)[4][0]))
 
 
 def predict_rates(
@@ -556,17 +615,16 @@ def predict_rates(
         dq = models[0][1].d_q
         if any(m.d_q != dq for _, m in models):
             raise ValidationError("models must share the quality dimension")
+    q = np.asarray(q, dtype=float).reshape(1, -1)
     out = []
     for point, model in models:
-        pred = condition(model, q)
-        raw = pred.expectation
-        clipped = np.clip(raw, 0.0, 1.0)
+        rates, clamped, top = predict(model, q)
         out.append(
             RatePrediction(
                 label=point.label,
-                rates=(float(clipped[0]), float(clipped[1])),
-                clamped=bool(np.any(raw != clipped)),
-                top_component=int(np.argmax(pred.psi)),
+                rates=(float(rates[0, 0]), float(rates[0, 1])),
+                clamped=bool(clamped[0].any()),
+                top_component=int(top[0]),
             )
         )
     return out

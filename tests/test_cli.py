@@ -264,6 +264,7 @@ def test_predict_matches_library_conditioning(fitted, tmp_path, capsys):
         "q1,q2,fmr_hat,fnmr_hat,fmr_clamped,fnmr_clamped,top_component"
     )
     assert len(lines) == 4
+    n_clamped = 0
     for line, query in zip(lines[1:], queries):
         cols = line.split(",")
         pred = mixture.condition(model, query)
@@ -271,8 +272,12 @@ def test_predict_matches_library_conditioning(fitted, tmp_path, capsys):
         # repr round-trip: file floats must equal the library's bit for bit
         assert float(cols[2]) == expected[0]
         assert float(cols[3]) == expected[1]
-        assert cols[4] in {"true", "false"} and cols[5] in {"true", "false"}
+        flags = [str(bool(raw != rate)).lower()
+                 for raw, rate in zip(pred.expectation, expected)]
+        assert cols[4:6] == flags
+        n_clamped += "true" in flags
         assert int(cols[6]) == int(np.argmax(pred.psi))
+    assert stdout_map(stdout)["clamped"] == str(n_clamped)
 
 
 def test_predict_rejects_wrong_quality_dimension(fitted, tmp_path, capsys):

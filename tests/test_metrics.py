@@ -11,6 +11,9 @@ from veriq.errors import NumericError, ValidationError
 from veriq.metrics import (
     ERC_GRID_STEP,
     EmptyClassError,
+    ErcCurve,
+    RocCurve,
+    _as_scores,
     auc,
     candidate_thresholds,
     erc,
@@ -191,6 +194,24 @@ def test_polarity_flip_swaps_error_kinds():
         assert frr_flip == far
 
 
+def test_roc_rejects_nan_thresholds_and_keeps_infinite_ones():
+    with pytest.raises(ValidationError, match="NaN"):
+        roc([1.0], [0.0], thresholds=[0.5, math.nan])
+    curve = roc([1.0], [0.0], thresholds=[-math.inf, math.inf])
+    np.testing.assert_array_equal(curve.far, [0.0, 1.0])
+    np.testing.assert_array_equal(curve.frr, [1.0, 0.0])
+
+
+def test_nan_scores_are_rejected():
+    for call in (
+        lambda: far_frr([math.nan], [0.0], 0.5),
+        lambda: roc([1.0], [0.0, math.nan]),
+        lambda: select_hter_threshold([1.0, math.nan], [0.0]),
+    ):
+        with pytest.raises(ValidationError, match="NaN"):
+            call()
+
+
 def test_auc_needs_two_points():
     with pytest.raises(ValidationError):
         auc(roc([1.0], [0.0], thresholds=[0.5]))
@@ -322,6 +343,171 @@ def test_erc_validation():
         erc(good, 0.0, grid_step=0.0)
     with pytest.raises(ValidationError):
         erc(_attempts([1.0], [True], [math.nan]), 0.0)
+
+
+# ------------------------------------- sort-based measures vs per-threshold
+#
+# The quadratic roc, select_hter_threshold and erc they replaced, kept
+# unchanged as oracles: the sort-based versions must agree bit for bit.
+
+
+def _reference_roc(match_scores, nonmatch_scores, thresholds=None) -> RocCurve:
+    """Evaluate far_frr on each threshold and sort points by FAR."""
+    match = _as_scores(match_scores, "match")
+    nonmatch = _as_scores(nonmatch_scores, "nonmatch")
+    if thresholds is None:
+        thresholds = candidate_thresholds(match, nonmatch)
+    thresholds = np.asarray(thresholds, dtype=float).reshape(-1)
+    if thresholds.size == 0:
+        raise ValidationError("need at least one threshold")
+    far = np.array([float(np.mean(nonmatch >= t)) for t in thresholds])
+    frr = np.array([float(np.mean(match < t)) for t in thresholds])
+    # descending thresholds give FAR ascending; stable for ties
+    order = np.argsort(-thresholds, kind="stable")
+    return RocCurve(thresholds[order], far[order], frr[order])
+
+
+def _reference_select_hter_threshold(match_scores, nonmatch_scores) -> float:
+    """Threshold minimizing (FAR + FRR) / 2 over the candidate set."""
+    match = _as_scores(match_scores, "match")
+    nonmatch = _as_scores(nonmatch_scores, "nonmatch")
+    candidates = candidate_thresholds(match, nonmatch)
+    best_t = None
+    best_value = math.inf
+    for t in candidates:
+        far, frr = far_frr(match, nonmatch, t)
+        value = (far + frr) / 2.0
+        if value < best_value:
+            best_value = value
+            best_t = float(t)
+    return best_t
+
+
+def _reference_residual_error(scores, labels_relevant, threshold, error_kind):
+    # scores/flags restricted to retained attempts
+    relevant = labels_relevant
+    n_rel = int(np.sum(relevant))
+    if n_rel == 0:
+        return 0.0, True
+    if error_kind == "fnmr":
+        errs = np.sum((scores < threshold) & relevant)
+    else:
+        errs = np.sum((scores >= threshold) & relevant)
+    return float(errs / n_rel), False
+
+
+def _reference_erc(
+    per_attempt,
+    threshold: float,
+    error_kind: str = "fnmr",
+    grid_step: float = ERC_GRID_STEP,
+) -> ErcCurve:
+    """Error-versus-reject curve with an ideal-rejector benchmark."""
+    if error_kind not in ("fnmr", "fmr"):
+        raise ValidationError("error_kind must be 'fnmr' or 'fmr'")
+    if not 0.0 < grid_step <= 1.0:
+        raise ValidationError("grid_step must lie in (0, 1]")
+    rows = list(per_attempt)
+    if not rows:
+        raise ValidationError("need at least one attempt")
+    scores = np.array([float(r[0]) for r in rows])
+    labels = np.array(
+        [r[1] == "match" if isinstance(r[1], str) else bool(r[1]) for r in rows]
+    )
+    predicted = np.array([float(r[2]) for r in rows])
+    if not np.all(np.isfinite(predicted)):
+        raise ValidationError("predicted errors must be finite")
+    n = scores.size
+    relevant = labels if error_kind == "fnmr" else ~labels
+
+    if error_kind == "fnmr":
+        erring = (scores < threshold) & relevant
+    else:
+        erring = (scores >= threshold) & relevant
+
+    # stable descending sort on predicted error
+    order = np.argsort(-predicted, kind="stable")
+    ideal_order = np.argsort(~erring, kind="stable")  # erring attempts first
+
+    n_grid = int(round(1.0 / grid_step))
+    fractions = np.arange(n_grid + 1) / n_grid
+    residual = np.empty(fractions.shape)
+    ideal = np.empty(fractions.shape)
+    flags = np.zeros(fractions.shape, dtype=bool)
+    for i, frac in enumerate(fractions):
+        n_reject = int(round(frac * n))
+        keep = order[n_reject:]
+        residual[i], flags[i] = _reference_residual_error(
+            scores[keep], relevant[keep], threshold, error_kind
+        )
+        keep_ideal = ideal_order[n_reject:]
+        ideal[i], _ = _reference_residual_error(
+            scores[keep_ideal], relevant[keep_ideal], threshold, error_kind
+        )
+    residual[-1] = 0.0
+    ideal[-1] = 0.0
+    return ErcCurve(fractions, residual, ideal, error_kind, flags)
+
+
+def _assert_same_bits(got, ref, fields):
+    for name in fields:
+        a, b = getattr(got, name), getattr(ref, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+# integer-valued scores put ties on the scores and on explicit thresholds;
+# single-element classes come from min_size=1
+_tied_scores = st.lists(st.integers(-6, 6).map(float), min_size=1, max_size=30)
+_any_scores = _tied_scores | _scores
+_thresholds = st.lists(
+    st.integers(-7, 7).map(float) | st.sampled_from([-math.inf, math.inf])
+    | st.floats(-100, 100, allow_nan=False),
+    min_size=1, max_size=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_any_scores, _any_scores, st.none() | _thresholds)
+def test_sort_based_roc_matches_per_threshold_reference(match, nonmatch, thresholds):
+    got = roc(match, nonmatch, thresholds)
+    ref = _reference_roc(match, nonmatch, thresholds)
+    _assert_same_bits(got, ref, ("thresholds", "far", "frr"))
+    if len(got) >= 2:
+        assert auc(got) == auc(ref)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_any_scores, _any_scores)
+def test_sort_based_hter_threshold_matches_reference(match, nonmatch):
+    got = select_hter_threshold(match, nonmatch)
+    assert got == _reference_select_hter_threshold(match, nonmatch)
+    assert type(got) is float
+
+
+@st.composite
+def _erc_cases(draw):
+    n = draw(st.integers(1, 40))
+    scores = draw(st.lists(st.integers(-4, 4).map(float), min_size=n, max_size=n))
+    # one-class inputs empty the other class at every grid point
+    labels = draw(st.lists(st.booleans(), min_size=n, max_size=n)
+                  | st.sampled_from([[True] * n, [False] * n]))
+    predicted = draw(st.lists(st.integers(0, 3).map(float) | st.floats(0, 1),
+                              min_size=n, max_size=n))
+    threshold = draw(st.integers(-5, 5).map(float) | st.sampled_from([-math.inf, math.inf]))
+    kind = draw(st.sampled_from(["fnmr", "fmr"]))
+    step = draw(st.sampled_from([ERC_GRID_STEP, 0.1, 0.25, 0.3, 1.0 / 7.0, 1.0]))
+    return list(zip(scores, labels, predicted)), threshold, kind, step
+
+
+@settings(max_examples=300, deadline=None)
+@given(_erc_cases())
+def test_cumulative_erc_matches_per_grid_point_reference(case):
+    attempts, threshold, kind, step = case
+    got = erc(attempts, threshold, kind, step)
+    ref = _reference_erc(attempts, threshold, kind, step)
+    _assert_same_bits(got, ref, ("fractions", "residual", "ideal", "empty_retained"))
+    assert got.error_kind == ref.error_kind
 
 
 # ------------------------------------------------------------------- CSVs

@@ -32,6 +32,7 @@ from veriq.mixture import (
     model_to_dict,
     n_cov_params,
     n_params,
+    predict,
     predict_rates,
 )
 
@@ -282,6 +283,18 @@ def test_model_search_all_failures_raise():
         model_search(data, [], ("EII",), d_q=1, d_r=1, seed=0)
 
 
+def test_model_search_fails_a_cell_whose_projection_breaks_down():
+    # VEV's coordinate descent overflows on the two constant columns; eigh then
+    # raised a bare LinAlgError out of model_search
+    r = np.random.default_rng(0)
+    data = np.c_[r.random(6), np.full(6, 0.5), np.full(6, 0.2), r.random(6)]
+    with np.errstate(all="ignore"):
+        best, table = model_search(data, [1], ["VEV", "EII"], d_q=2, d_r=2, seed=1)
+    assert table[0].status.startswith("failed:")
+    assert table[1].status == "ok"
+    assert best.parametrization == "EII"
+
+
 def test_model_search_prefers_fewer_parameters_on_ties():
     data = np.random.default_rng(13).normal(size=(200, 2))
     # duplicate family: both cells give identical BIC; either pick is fine,
@@ -416,6 +429,25 @@ def test_predict_rates_clamps_and_labels():
     pred = predict_rates([(OperatingPoint(0.1), in_range)], [0.0])[0]
     assert pred.rates == (0.3, 0.6)
     assert not pred.clamped
+
+
+def test_predict_clamps_flags_and_ranks_each_row():
+    model = _model(
+        [0.5, 0.5],
+        [[-3.0, -0.5, 1.5], [3.0, 0.3, 0.6]],
+        [np.diag([1.0, 0.1, 0.1])] * 2,
+        d_q=1, d_r=2,
+    )
+    rates, clamped, top = predict(model, [[-3.0], [3.0]])
+    np.testing.assert_allclose(rates, [[0.0, 1.0], [0.3, 0.6]], atol=1e-12)
+    np.testing.assert_array_equal(clamped, [[True, True], [False, False]])
+    np.testing.assert_array_equal(top, [0, 1])
+    with pytest.raises(ValidationError, match="model expects 1"):
+        predict(model, [[0.0, 1.0]])
+    with pytest.raises(ValidationError, match="matrix"):
+        predict(model, [0.0, 1.0])
+    with pytest.raises(ValidationError, match="finite"):
+        predict(model, [[math.inf]])
 
 
 def test_predict_rates_requires_consistent_quality_dim():
@@ -862,3 +894,27 @@ def test_batched_condition_matches_per_component_loop(case, d_q):
         pred.expectation, expectation, rtol=0,
         atol=(psi_tol + 1e-10) * float(np.max(mean_terms)) * len(psi),
     )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 9),
+    st.integers(1, 3),
+    st.sampled_from([1, 2, 7, 64]),
+    st.integers(0, 2**32 - 1),
+)
+def test_predict_rows_equal_one_query_conditioning(k, d_q, m, seed):
+    rng = np.random.default_rng(seed)
+    d = d_q + 2
+    weights = rng.dirichlet(np.ones(k))
+    model = _model(weights, rng.normal(0.5, 1.0, size=(k, d)),
+                   _spd_stack(rng, k, d, rng.uniform(0.0, 4.0)), d_q=d_q, d_r=2)
+    queries = rng.normal(size=(m, d_q)) * 2.0
+    rates, clamped, top = predict(model, queries)
+    assert rates.shape == clamped.shape == (m, 2) and top.shape == (m,)
+    for i, q in enumerate(queries):
+        pred = condition(model, q)
+        expected = np.clip(pred.expectation, 0.0, 1.0)
+        assert rates[i].tobytes() == expected.tobytes()
+        np.testing.assert_array_equal(clamped[i], pred.expectation != expected)
+        assert top[i] == np.argmax(pred.psi)
