@@ -57,8 +57,8 @@ def _as_scores(values, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float).reshape(-1)
     if arr.size == 0:
         raise EmptyClassError(f"{name} score set is empty")
-    if np.any(np.isnan(arr)):
-        raise ValidationError(f"{name} scores must not be NaN")
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError(f"{name} scores must be finite, not NaN or infinite")
     return arr
 
 

@@ -31,9 +31,12 @@ PARAMETRIZATIONS = (
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 500
+EM_RETRIES = 5
 ORIENTATION_INNER_ITER = 20
 RIDGE_FACTOR = 1e-8
 COLLAPSE_FLOOR = 1e-3
+# eigh leaves a zero eigenvalue as a residue of a few eps times the largest
+SHAPE_RTOL = 1e-12
 _TINY = 1e-300
 
 
@@ -110,16 +113,6 @@ class ConditionalPrediction:
     cond_means: np.ndarray
     cond_covs: np.ndarray
     expectation: np.ndarray
-
-
-@dataclass(frozen=True)
-class RatePrediction:
-    """Clamped [FMR, FNMR] prediction at one operating point."""
-
-    label: str
-    rates: tuple[float, float]
-    clamped: bool
-    top_component: int
 
 
 @dataclass(frozen=True)
@@ -241,6 +234,11 @@ def _project_covariances(
             unit, lam = _shape_normalize(vals)
             eig = float(np.sum(lam)) / n_total * unit
         else:  # VEI, VEV
+            pooled = vals.sum(axis=0)
+            if 0.0 < pooled.max() and pooled.min() <= SHAPE_RTOL * pooled.max():
+                # zero on some axes only, up to rounding: the shared shape has no
+                # estimate, and the coordinate descent chases it into overflow
+                raise NumericError(f"{code} shared shape is singular")
             if prev_cov is None:
                 lam = np.trace(scatter, axis1=1, axis2=2) / (counts * d)
             else:
@@ -336,6 +334,36 @@ def _log_component_densities(
     return log_dens + np.log(np.maximum(weights, _TINY))[:, None]
 
 
+def _em_run(data, k, code, seed, attempt, tol, max_iter):
+    """One EM attempt: a seeded k-means++ start, then E- and M-steps.
+
+    Returns ((weights, means, covs), trace, counters). The last trace entry
+    is the log-likelihood of the returned parameters: no M-step follows the
+    last E-step, and a float-level dip at convergence keeps the previous
+    iterate. A collapsed component or a failed projection raises NumericError.
+    """
+    counters: dict = {}
+    rng = np.random.default_rng([int(seed), attempt])
+    params = _m_step(data, _initial_responsibilities(data, k, rng), code, None, counters)
+    trace: list[float] = []
+    while True:
+        log_joint = _log_component_densities(data, *params)
+        log_norm = _logsumexp(log_joint, axis=0)
+        loglik = float(np.sum(log_norm))
+        resp = np.exp(log_joint - log_norm)
+        if np.min(resp.sum(axis=1)) < COLLAPSE_FLOOR:
+            raise NumericError(f"component collapsed (seed {seed}, attempt {attempt})")
+        if trace and loglik < trace[-1]:
+            return previous, trace, counters
+        trace.append(loglik)
+        if len(trace) == max_iter or (
+            len(trace) > 1 and trace[-1] - trace[-2] < tol * abs(trace[-2])
+        ):
+            return params, trace, counters
+        previous = params
+        params = _m_step(data, resp, code, params[2], counters)
+
+
 def em_fit(
     data,
     k: int,
@@ -346,13 +374,14 @@ def em_fit(
     seed: int = 0,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    retries: int = 5,
 ) -> MixtureModel:
     """Fit a K-component mixture under one covariance family.
 
     Deterministic given seed. The log-likelihood is non-decreasing across
-    iterations; a component whose responsibility mass collapses triggers a
-    reseeded restart, up to the retry budget.
+    iterations; a collapsed component or a failed covariance projection
+    triggers a reseeded restart, up to EM_RETRIES of them. fit_meta's
+    loglik and bic = 2*loglik - n_params*ln(N) belong to the returned
+    parameters, also when EM stops at max_iter.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim != 2:
@@ -371,68 +400,25 @@ def em_fit(
     if max_iter < 1:
         raise ValidationError("max_iter must be >= 1")
 
-    last_error = None
-    for attempt in range(retries + 1):
-        rng = np.random.default_rng([int(seed), attempt])
-        counters: dict = {}
-        resp = _initial_responsibilities(data, k, rng)
+    for attempt in range(EM_RETRIES + 1):
         try:
-            weights, means, covs = _m_step(data, resp, parametrization, None, counters)
-        except NumericError as exc:
-            last_error = exc
-            continue
-        trace = []
-        collapsed = False
-        prev_params = None
-        for _ in range(max_iter):
-            log_joint = _log_component_densities(data, weights, means, covs)
-            log_norm = _logsumexp(log_joint, axis=0)
-            loglik = float(np.sum(log_norm))
-            resp = np.exp(log_joint - log_norm)
-            if np.min(resp.sum(axis=1)) < COLLAPSE_FLOOR:
-                collapsed = True
-                break
-            if trace and loglik < trace[-1]:
-                # float-level dip at convergence: keep the previous iterate
-                weights, means, covs = prev_params
-                break
-            trace.append(loglik)
-            if len(trace) > 1 and (trace[-1] - trace[-2]) < tol * abs(trace[-2]):
-                break
-            prev_params = (weights, means, covs)
-            try:
-                weights, means, covs = _m_step(
-                    data, resp, parametrization, covs, counters
-                )
-            except NumericError as exc:
-                last_error = exc
-                collapsed = True
-                break
-        if collapsed:
-            last_error = last_error or NumericError(
-                f"component collapsed (seed {seed}, attempt {attempt})"
+            params, trace, counters = _em_run(
+                data, k, parametrization, seed, attempt, tol, max_iter
             )
-            continue
-        meta = {
-            "loglik": trace[-1],
-            "n_iter": len(trace),
-            "seed": int(seed),
-            "loglik_trace": tuple(trace),
-            "ridge_events": counters.get("ridge_events", 0),
-            "restarts": attempt,
-        }
-        return MixtureModel(
-            weights=weights,
-            means=means,
-            covariances=covs,
-            parametrization=parametrization,
-            d_q=d_q,
-            d_r=d_r,
-            fit_meta=meta,
-        )
-    raise NumericError(
-        f"EM failed after {retries + 1} attempts: {last_error}"
-    )
+            break
+        except NumericError as exc:
+            error = exc
+    else:
+        raise NumericError(f"EM failed after {EM_RETRIES + 1} attempts: {error}")
+    return MixtureModel(*params, parametrization, d_q, d_r, fit_meta={
+        "loglik": trace[-1],
+        "bic": 2.0 * trace[-1] - n_params(parametrization, k, d) * math.log(n),
+        "n_iter": len(trace),
+        "seed": int(seed),
+        "loglik_trace": tuple(trace),
+        "ridge_events": counters.get("ridge_events", 0),
+        "restarts": attempt,
+    })
 
 
 def log_likelihood(model: MixtureModel, data) -> float:
@@ -474,8 +460,7 @@ def model_search(
         raise ValidationError("model search needs non-empty K range and families")
     data = np.asarray(data, dtype=float)
     table: list[SearchCell] = []
-    best: tuple | None = None
-    best_model = None
+    fits: list[MixtureModel] = []
     for k in k_values:
         for idx, code in enumerate(families):
             cell_seed = int(
@@ -492,18 +477,14 @@ def model_search(
                                math.nan, math.nan, f"failed: {exc}")
                 )
                 continue
-            value = bic(model, data)
-            model.fit_meta["bic"] = value
-            cell = SearchCell(k, code, model.n_params, model.fit_meta["loglik"],
-                              value, "ok")
-            table.append(cell)
-            key = (-value, model.n_params)
-            if best is None or key < best:
-                best = key
-                best_model = model
-    if best_model is None:
+            meta = model.fit_meta
+            table.append(SearchCell(k, code, model.n_params, meta["loglik"],
+                                    meta["bic"], "ok"))
+            fits.append(model)
+    if not fits:
         raise NumericError("every model-search cell failed")
-    return best_model, table
+    # min keeps the first of equal keys, so equal BICs keep table order
+    return min(fits, key=lambda m: (-m.fit_meta["bic"], m.n_params)), table
 
 
 def _split_blocks(model: MixtureModel):
@@ -605,29 +586,6 @@ def marginal_q_density(model: MixtureModel, q) -> float:
     """Mixture density of the quality block at q."""
     q = np.asarray(q, dtype=float).reshape(1, -1)
     return float(np.exp(_condition_rows(model, q)[4][0]))
-
-
-def predict_rates(
-    models: list[tuple[OperatingPoint, MixtureModel]], q
-) -> list[RatePrediction]:
-    """Predicted [FMR, FNMR] per operating point, clamped into [0, 1]."""
-    if models:
-        dq = models[0][1].d_q
-        if any(m.d_q != dq for _, m in models):
-            raise ValidationError("models must share the quality dimension")
-    q = np.asarray(q, dtype=float).reshape(1, -1)
-    out = []
-    for point, model in models:
-        rates, clamped, top = predict(model, q)
-        out.append(
-            RatePrediction(
-                label=point.label,
-                rates=(float(rates[0, 0]), float(rates[0, 1])),
-                clamped=bool(clamped[0].any()),
-                top_component=int(top[0]),
-            )
-        )
-    return out
 
 
 MODEL_FORMAT_VERSION = 1

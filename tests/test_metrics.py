@@ -212,6 +212,18 @@ def test_nan_scores_are_rejected():
             call()
 
 
+def test_infinite_scores_are_rejected():
+    # -inf next to +inf would give roc a NaN midpoint threshold
+    for call in (
+        lambda: roc([math.inf], [-math.inf]),
+        lambda: far_frr([1.0], [-math.inf], 0.5),
+        lambda: select_hter_threshold([math.inf, 1.0], [0.0]),
+        lambda: threshold_for_fmr([0.0] * 9 + [math.inf], 0.1),
+    ):
+        with pytest.raises(ValidationError, match="infinite"):
+            call()
+
+
 def test_auc_needs_two_points():
     with pytest.raises(ValidationError):
         auc(roc([1.0], [0.0], thresholds=[0.5]))
