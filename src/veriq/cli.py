@@ -13,6 +13,7 @@ import argparse
 import itertools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -31,6 +32,16 @@ def _read_text(path: str) -> str:
             return handle.read()
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
+
+
+def _check_outputs(*paths) -> None:
+    """Fail before any work when an output path cannot be written."""
+    for path in filter(None, paths):
+        directory = os.path.dirname(path) or "."
+        if not os.path.isdir(directory):
+            raise ValidationError(f"cannot write {path}: no directory {directory}")
+        if os.path.isdir(path):
+            raise ValidationError(f"cannot write {path}: is a directory")
 
 
 def _parse_cov_models(spec: str) -> list[str]:
@@ -91,6 +102,8 @@ def cmd_fit(args) -> int:
     if args.grid_points < 1:
         raise UsageError("--grid-points must be >= 1")
     families = _parse_cov_models(args.cov_models)
+    _check_outputs(args.out_model, args.out_bic, args.out_grid, args.out_regions,
+                   args.out_posteriors)
     records = dataio.parse_records(_read_text(args.records))
     match_scores, nonmatch_scores = _match_nonmatch(records)
     if match_scores.size == 0 or nonmatch_scores.size == 0:

@@ -238,18 +238,25 @@ def write_records(records: RecordSet, sink) -> None:
 
 
 def atomic_write_text(path, text: str) -> None:
-    """Write text to path atomically (temp file in same dir, then rename)."""
+    """Write text to path atomically (temp file in same dir, then rename).
+
+    An OSError (a missing directory, a directory at path, a full disk)
+    becomes a ValidationError naming path; the temp file is removed.
+    """
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_", suffix=".part")
     try:
-        with os.fdopen(fd, "w", newline="\n") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_", suffix=".part")
+        try:
+            with os.fdopen(fd, "w", newline="\n") as handle:
+                handle.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def write_csv(path_or_stream, header: list[str], rows) -> None:

@@ -112,7 +112,8 @@ def candidate_thresholds(match_scores, nonmatch_scores) -> np.ndarray:
              np.asarray(nonmatch_scores, float).ravel()]
         )
     )
-    mids = (pooled[:-1] + pooled[1:]) / 2.0
+    # halving first cannot overflow, and is exact above the subnormal range
+    mids = pooled[:-1] / 2.0 + pooled[1:] / 2.0
     return np.concatenate([[-math.inf], mids, [math.inf]])
 
 

@@ -37,6 +37,7 @@ RIDGE_FACTOR = 1e-8
 COLLAPSE_FLOOR = 1e-3
 # eigh leaves a zero eigenvalue as a residue of a few eps times the largest
 SHAPE_RTOL = 1e-12
+SQUAREM_STEP_FACTOR = 4.0
 _TINY = 1e-300
 
 
@@ -334,34 +335,143 @@ def _log_component_densities(
     return log_dens + np.log(np.maximum(weights, _TINY))[:, None]
 
 
-def _em_run(data, k, code, seed, attempt, tol, max_iter):
-    """One EM attempt: a seeded k-means++ start, then E- and M-steps.
+def _e_step(data: np.ndarray, params) -> tuple[float, np.ndarray]:
+    """Log-likelihood and (K, N) responsibilities at (weights, means, covs)."""
+    log_joint = _log_component_densities(data, *params)
+    log_norm = _logsumexp(log_joint, axis=0)
+    return float(np.sum(log_norm)), np.exp(log_joint - log_norm)
 
-    Returns ((weights, means, covs), trace, counters). The last trace entry
-    is the log-likelihood of the returned parameters: no M-step follows the
-    last E-step, and a float-level dip at convergence keeps the previous
-    iterate. A collapsed component or a failed projection raises NumericError.
+
+def _collapsed(resp: np.ndarray) -> bool:
+    return bool(np.min(resp.sum(axis=1)) < COLLAPSE_FLOOR)
+
+
+def _extrapolate(p0, p1, p2, step_max: float):
+    """SQUAREM's step s and point p0 + 2*s*r + s^2*v (Varadhan & Roland 2008).
+
+    p1 and p2 are one and two EM maps from p0; r = p1 - p0 and
+    v = p2 - 2*p1 + p0 over the stacked (weights, means, covariances), and
+    s = |r|/|v| clipped to [1, step_max] (the paper's alpha is -s). s = 1
+    gives p2 itself.
     """
-    counters: dict = {}
+    r = [b - a for a, b in zip(p0, p1)]
+    v = [c - b - dr for b, c, dr in zip(p1, p2, r)]
+    r_norm, v_norm = (
+        math.sqrt(sum(float(np.sum(x * x)) for x in parts)) for parts in (r, v)
+    )
+    step = min(step_max, max(1.0, r_norm / v_norm)) if v_norm > 0.0 else step_max
+    return step, tuple(a + 2.0 * step * dr + step * step * dv
+                       for a, dr, dv in zip(p0, r, v))
+
+
+def _admissible(point) -> bool:
+    """Finite, all weights positive, every covariance SPD."""
+    weights, _, covs = point
+    if not (all(np.all(np.isfinite(a)) for a in point) and np.all(weights > 0.0)):
+        return False
+    try:
+        np.linalg.cholesky(covs)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _squarem_step(data, code, point, evaluate, counters):
+    """M(E(point)) for SQUAREM's extrapolated point, with its log-likelihood
+    and responsibilities; None when the point is no mixture (see
+    _admissible), its E-step is not finite or collapses a component, or
+    its M-step fails.
+    """
+    if not _admissible(point):
+        return None
+    counters["extrapolations"] += 1
+    with np.errstate(over="ignore", invalid="ignore"):  # a near-singular point
+        loglik, resp = evaluate(point)
+    if not math.isfinite(loglik) or _collapsed(resp):
+        return None
+    try:
+        params = _m_step(data, resp, code, point[2], counters)
+    except NumericError:
+        return None
+    return (params, *evaluate(params))
+
+
+def _em_run(data, k, code, seed, attempt, tol, max_iter):
+    """One EM attempt: a seeded k-means++ start, then SQUAREM cycles.
+
+    A cycle maps the accepted iterate p0 to p1 and p2 (an E-step, then an
+    M-step, each), accepts p1, and then accepts the map of SQUAREM's
+    extrapolated point (see _extrapolate and _squarem_step) or, failing
+    that, p2. Every accepted iterate comes out of an M-step, so it obeys
+    the family. The mapped point is rejected when it collapses a component
+    or scores below p1: out of the family, the extrapolated point may beat
+    every in-family iterate, so its map can score lower than the plain one.
+
+    The step is bounded, as the SQUAREM reference code also bounds it: the
+    bound starts at 1 (no extrapolation) and grows by SQUAREM_STEP_FACTOR
+    each time a step reaches it; a rejected step at the bound restarts it
+    from that step over the factor. Unbounded, a step of a few hundred along a
+    slowly draining component can throw it onto a single point, where the
+    likelihood has its singularity.
+
+    Returns ((weights, means, covs), trace, counters). trace holds the
+    log-likelihood of each accepted iterate, and its last entry is that of
+    the returned parameters. counters["e_steps"] counts every E-step and
+    caps at max_iter: one per trace entry, per extrapolated point
+    ("extrapolations") and per rejected iterate ("rejected"). A float-level
+    dip at convergence keeps the previous iterate. A collapsed component or
+    a failed projection of an accepted iterate raises NumericError.
+    """
+    counters = {"e_steps": 0, "extrapolations": 0, "rejected": 0}
     rng = np.random.default_rng([int(seed), attempt])
+
+    def evaluate(params):
+        counters["e_steps"] += 1
+        return _e_step(data, params)
+
     params = _m_step(data, _initial_responsibilities(data, k, rng), code, None, counters)
+    loglik, resp = evaluate(params)
     trace: list[float] = []
+    anchor = None  # the cycle's p0 while params is its p1
+    step_max = 1.0
     while True:
-        log_joint = _log_component_densities(data, *params)
-        log_norm = _logsumexp(log_joint, axis=0)
-        loglik = float(np.sum(log_norm))
-        resp = np.exp(log_joint - log_norm)
-        if np.min(resp.sum(axis=1)) < COLLAPSE_FLOOR:
+        if _collapsed(resp):
             raise NumericError(f"component collapsed (seed {seed}, attempt {attempt})")
         if trace and loglik < trace[-1]:
+            counters["rejected"] += 1
             return previous, trace, counters
         trace.append(loglik)
-        if len(trace) == max_iter or (
+        if counters["e_steps"] >= max_iter or (
             len(trace) > 1 and trace[-1] - trace[-2] < tol * abs(trace[-2])
         ):
             return params, trace, counters
         previous = params
-        params = _m_step(data, resp, code, params[2], counters)
+        mapped = _m_step(data, resp, code, params[2], counters)
+        if anchor is None:
+            anchor, params = params, mapped
+            loglik, resp = evaluate(params)
+            continue
+        found = None
+        if counters["e_steps"] + 2 <= max_iter:
+            step, point = _extrapolate(anchor, params, mapped, step_max)
+            at_bound = step == step_max
+            if at_bound:
+                step_max *= SQUAREM_STEP_FACTOR
+            if step > 1.0:
+                found = _squarem_step(data, code, point, evaluate, counters)
+            if found is not None and (_collapsed(found[2]) or not found[1] >= loglik):
+                counters["rejected"] += 1
+                if at_bound:
+                    step_max = max(1.0, step / SQUAREM_STEP_FACTOR)
+                found = None
+        anchor = None
+        if found is not None:
+            params, loglik, resp = found
+        elif counters["e_steps"] < max_iter:
+            params = mapped
+            loglik, resp = evaluate(params)
+        else:
+            return params, trace, counters
 
 
 def em_fit(
@@ -377,11 +487,13 @@ def em_fit(
 ) -> MixtureModel:
     """Fit a K-component mixture under one covariance family.
 
-    Deterministic given seed. The log-likelihood is non-decreasing across
-    iterations; a collapsed component or a failed covariance projection
-    triggers a reseeded restart, up to EM_RETRIES of them. fit_meta's
-    loglik and bic = 2*loglik - n_params*ln(N) belong to the returned
-    parameters, also when EM stops at max_iter.
+    Deterministic given seed. EM is SQUAREM-accelerated (see _em_run); the
+    log-likelihood is non-decreasing across accepted iterates. A collapsed
+    component or a failed covariance projection triggers a reseeded
+    restart, up to EM_RETRIES of them when k > 1. fit_meta's loglik and
+    bic = 2*loglik - n_params*ln(N) belong to the returned parameters, also
+    when EM stops at max_iter. fit_meta's n_iter counts E-steps, capped by
+    max_iter: len(loglik_trace) + extrapolations + rejected.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim != 2:
@@ -400,7 +512,9 @@ def em_fit(
     if max_iter < 1:
         raise ValidationError("max_iter must be >= 1")
 
-    for attempt in range(EM_RETRIES + 1):
+    # a single component starts from every row, whatever the seed: one attempt
+    attempts = 1 if k == 1 else EM_RETRIES + 1
+    for attempt in range(attempts):
         try:
             params, trace, counters = _em_run(
                 data, k, parametrization, seed, attempt, tol, max_iter
@@ -409,13 +523,16 @@ def em_fit(
         except NumericError as exc:
             error = exc
     else:
-        raise NumericError(f"EM failed after {EM_RETRIES + 1} attempts: {error}")
+        plural = "s" if attempts > 1 else ""
+        raise NumericError(f"EM failed after {attempts} attempt{plural}: {error}")
     return MixtureModel(*params, parametrization, d_q, d_r, fit_meta={
         "loglik": trace[-1],
         "bic": 2.0 * trace[-1] - n_params(parametrization, k, d) * math.log(n),
-        "n_iter": len(trace),
+        "n_iter": counters["e_steps"],
         "seed": int(seed),
         "loglik_trace": tuple(trace),
+        "extrapolations": counters["extrapolations"],
+        "rejected": counters["rejected"],
         "ridge_events": counters.get("ridge_events", 0),
         "restarts": attempt,
     })

@@ -617,3 +617,62 @@ def test_calibrate_iqa_rank_deficient_input(tmp_path, capsys):
     code, _, err = run(["calibrate-iqa", str(rows)], capsys)
     assert code == 3
     assert "numeric error" in err
+
+
+# ----------------------------------------------------------- output paths
+
+@pytest.fixture()
+def inputs(tmp_path, capsys):
+    """A valid input for every subcommand that writes files."""
+    synth(tmp_path, capsys)
+    model = mixture.MixtureModel(np.array([1.0]), np.zeros((1, 4)), np.eye(4)[None],
+                                 "VVV", 2, 2)
+    (tmp_path / "model.json").write_text(mixture.dump_model_json(model))
+    (tmp_path / "queries.csv").write_text("q1,q2\n0.5,0.5\n")
+    (tmp_path / "attempts.csv").write_text(f"{ERC_HEADER}\n1.0,match,0.5\n")
+    _sweep_csv(tmp_path / "scores.csv")
+    _calibration_csv(tmp_path / "rows.csv")
+    (tmp_path / "adir").mkdir()
+    return tmp_path
+
+
+def _fit_argv(d, out_model=None, out_grid=None):
+    return ["fit", f"{d}/records.csv", *FIT_FLAGS,
+            "--out-model", out_model or f"{d}/model_out.json",
+            "--out-bic", f"{d}/bic.csv", "--out-grid", out_grid or f"{d}/grid.csv"]
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (lambda d: _fit_argv(d, out_model=f"{d}/nodir/m.json"), "no directory"),
+        (lambda d: _fit_argv(d, out_model=f"{d}/adir"), "is a directory"),
+        (lambda d: _fit_argv(d, out_grid=f"{d}/nodir/g.csv"), "no directory"),
+        (lambda d: ["predict", f"{d}/model.json", f"{d}/queries.csv",
+                    "--out", f"{d}/nodir/p.csv"], "No such file"),
+        (lambda d: ["roc", f"{d}/records.csv", "--out", f"{d}/nodir/r.csv"],
+         "No such file"),
+        (lambda d: ["erc", f"{d}/attempts.csv", "--threshold", "0.5",
+                    "--out", f"{d}/nodir/e.csv"], "No such file"),
+        (lambda d: ["sweep", f"{d}/scores.csv", "--out", f"{d}/nodir/s.csv"],
+         "No such file"),
+        (lambda d: ["ium", f"{d}/records.csv", "--out", f"{d}/nodir/i.csv"],
+         "No such file"),
+        (lambda d: ["synth", "--seed", "1", "--out", f"{d}/nodir/x.csv"], "No such file"),
+        (lambda d: ["calibrate-iqa", f"{d}/rows.csv", "--out-solution",
+                    f"{d}/nodir/c.json", "--out-calibrated", f"{d}/c.csv"],
+         "No such file"),
+    ],
+    ids=["fit-model", "fit-model-is-directory", "fit-grid", "predict", "roc", "erc",
+         "sweep", "ium", "synth", "calibrate-iqa"],
+)
+def test_unwritable_output_is_a_validation_error(inputs, capsys, argv, reason):
+    before = sorted(inputs.rglob("*"))
+    code, out, err = run(argv(inputs), capsys)
+    assert code == 1
+    assert err.startswith("validation error: cannot write ") and reason in err
+    assert len(err.splitlines()) == 1
+    # fit checks its outputs before any work; the others leave no .part file
+    assert sorted(inputs.rglob("*")) == before
+    if argv(inputs)[0] == "fit":
+        assert out == ""

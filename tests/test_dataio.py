@@ -202,6 +202,18 @@ def test_write_records_to_path_is_atomic(tmp_path):
     assert leftovers == []
 
 
+def test_failed_write_names_the_path_and_leaves_no_temp_file(tmp_path):
+    # the rename onto a directory fails after the temp file is written
+    target = tmp_path / "taken"
+    target.mkdir()
+    with pytest.raises(ValidationError, match=f"cannot write {target}: "):
+        dataio.atomic_write_text(target, "text\n")
+    with pytest.raises(ValidationError, match="cannot write .*missing"):
+        dataio.atomic_write_text(tmp_path / "missing" / "out.csv", "text\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+    assert list(target.iterdir()) == []
+
+
 def test_write_records_to_stream():
     rs = _rs([VerificationRecord("a", "b", 1.0, MATCH, (0.5, 0.5))])
     buf = io.StringIO()

@@ -1,6 +1,7 @@
 """Verification metrics: FAR/FRR, thresholds, ROC/AUC, HTER, reject curves."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -134,6 +135,17 @@ def test_candidate_thresholds_are_midpoints_with_sentinels():
     np.testing.assert_array_equal(cands, [-math.inf, 1.5, 2.5, math.inf])
     dedup = candidate_thresholds([1.0, 1.0], [1.0])
     np.testing.assert_array_equal(dedup, [-math.inf, math.inf])
+
+
+def test_midpoints_near_the_float_maximum_stay_finite():
+    # the sum of the two nonmatch scores overflows; their halves do not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        curve = roc([0.0], [1e308, 1.5e308])
+    mids = curve.thresholds[1:-1]
+    assert np.all(np.isfinite(mids)) and np.all(np.diff(curve.thresholds) < 0)
+    np.testing.assert_array_equal(curve.far, [0.0, 0.5, 1.0, 1.0])
+    np.testing.assert_array_equal(curve.frr, [1.0, 1.0, 1.0, 0.0])
 
 
 def test_roc_is_sorted_by_ascending_far():

@@ -196,7 +196,8 @@ def test_em_trace_is_monotone_and_consistent():
     assert fit.fit_meta["loglik"] == pytest.approx(
         log_likelihood(fit, data), rel=1e-9
     )
-    assert fit.fit_meta["n_iter"] == len(trace)
+    meta = fit.fit_meta
+    assert meta["n_iter"] == len(trace) + meta["extrapolations"] + meta["rejected"]
     assert fit.fit_meta["restarts"] >= 0
 
 
@@ -259,6 +260,138 @@ def test_richer_families_fit_no_worse_in_likelihood():
     assert ll["EEE"] >= ll["EII"] - 1e-6
 
 
+# ----------------------------------------------------- accelerated EM
+
+
+def _reference_em_run(data, k, code, seed, attempt, tol, max_iter):
+    """The plain E-step/M-step loop that SQUAREM replaced, kept as an oracle."""
+    counters: dict = {}
+    rng = np.random.default_rng([int(seed), attempt])
+    params = mixture._m_step(
+        data, mixture._initial_responsibilities(data, k, rng), code, None, counters
+    )
+    trace: list[float] = []
+    while True:
+        log_joint = mixture._log_component_densities(data, *params)
+        log_norm = mixture._logsumexp(log_joint, axis=0)
+        loglik = float(np.sum(log_norm))
+        resp = np.exp(log_joint - log_norm)
+        if np.min(resp.sum(axis=1)) < mixture.COLLAPSE_FLOOR:
+            raise NumericError(f"component collapsed (seed {seed}, attempt {attempt})")
+        if trace and loglik < trace[-1]:
+            return previous, trace, counters
+        trace.append(loglik)
+        if len(trace) == max_iter or (
+            len(trace) > 1 and trace[-1] - trace[-2] < tol * abs(trace[-2])
+        ):
+            return params, trace, counters
+        previous = params
+        params = mixture._m_step(data, resp, code, params[2], counters)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.sampled_from(PARAMETRIZATIONS), st.integers(0, 2**16),
+       st.integers(60, 150), st.integers(1, 40) | st.just(mixture.DEFAULT_MAX_ITER))
+def test_accelerated_em_keeps_the_plain_loops_invariants(k, code, seed, n, max_iter):
+    data = _blob_data(seed, n=n)
+    try:
+        fit = em_fit(data, k, code, d_q=2, d_r=1, seed=seed, max_iter=max_iter)
+    except NumericError:
+        return  # every attempt collapsed or failed its projection
+    meta = fit.fit_meta
+    trace = np.array(meta["loglik_trace"])
+    assert np.all(np.diff(trace) >= 0)
+    assert_spd(fit.covariances)
+    scale = max(1.0, float(np.max(np.abs(fit.covariances))))
+    assert family_violation(code, fit.covariances) <= 1e-8 * scale
+    assert meta["loglik"] == trace[-1] == log_likelihood(fit, data)
+    assert meta["n_iter"] == len(trace) + meta["extrapolations"] + meta["rejected"]
+    assert meta["n_iter"] <= max_iter
+    assert meta["rejected"] <= meta["extrapolations"] + 1
+
+
+def test_max_iter_caps_e_steps_through_extrapolations():
+    # an extrapolation costs two E-steps; it must not run past the cap
+    data = _overlapping_data()
+    free = em_fit(data, 2, "VVV", d_q=2, d_r=1, seed=2).fit_meta
+    assert free["extrapolations"] > 0
+    for max_iter in range(1, free["n_iter"] + 3):
+        fit = em_fit(data, 2, "VVV", d_q=2, d_r=1, seed=2, max_iter=max_iter)
+        assert fit.fit_meta["n_iter"] == min(max_iter, free["n_iter"])
+        assert fit.fit_meta["loglik"] == log_likelihood(fit, data)
+
+
+def test_a_run_that_ends_on_a_dip_counts_the_dipped_e_step():
+    # no relative gain passes a tolerance of 1e-300: EM runs on until the
+    # log-likelihood dips at float level, then keeps the previous iterate
+    data = _blob_data(5)
+    fit = em_fit(data, 2, "VVV", d_q=2, d_r=1, seed=2, tol=1e-300)
+    meta = fit.fit_meta
+    assert meta["n_iter"] < mixture.DEFAULT_MAX_ITER and meta["rejected"] >= 1
+    assert meta["n_iter"] == len(meta["loglik_trace"]) + meta["extrapolations"] + meta["rejected"]
+    assert meta["loglik"] == log_likelihood(fit, data)
+
+
+def test_extrapolated_point_with_a_negative_weight_is_refused():
+    p0 = (np.array([0.6, 0.4]), np.zeros((2, 1)), np.ones((2, 1, 1)))
+    p1 = (np.array([0.5, 0.5]), np.zeros((2, 1)), np.ones((2, 1, 1)))
+    p2 = (np.array([0.45, 0.55]), np.zeros((2, 1)), np.ones((2, 1, 1)))
+    step, point = mixture._extrapolate(p0, p1, p2, math.inf)
+    assert step == pytest.approx(2.0)  # |r|/|v| = 0.1/0.05
+    np.testing.assert_allclose(point[0], [0.6 - 0.4 + 0.2, 0.4 + 0.4 - 0.2])
+    assert mixture._admissible(point)
+    p2 = (np.array([0.41, 0.59]), *p2[1:])  # a near-linear path: a long step
+    step, point = mixture._extrapolate(p0, p1, p2, math.inf)
+    assert step == pytest.approx(10.0) and point[0][0] == pytest.approx(-0.4)
+    assert not mixture._admissible(point)
+    assert not mixture._admissible((point[0], point[1], -point[2]))
+
+
+@pytest.mark.parametrize("code", ["VVV", "VEV", "EII"])
+def test_refused_extrapolations_fall_back_to_the_plain_loop(monkeypatch, code):
+    # every extrapolated point gets a negative weight: each cycle takes the
+    # plain second map, so the run is the plain loop's, bit for bit
+    data = _blob_data(5)
+    extrapolate = mixture._extrapolate
+    refused = []
+
+    def negative_weight(p0, p1, p2, step_max):
+        step, (weights, means, covs) = extrapolate(p0, p1, p2, step_max)
+        refused.append(step)
+        return max(step, 2.0), (weights - 2.0, means, covs)
+
+    monkeypatch.setattr(mixture, "_extrapolate", negative_weight)
+    fit = em_fit(data, 3, code, d_q=2, d_r=1, seed=2)
+    (weights, means, covs), trace, _ = _reference_em_run(
+        data, 3, code, 2, 0, mixture.DEFAULT_TOL, mixture.DEFAULT_MAX_ITER
+    )
+    assert refused and fit.fit_meta["extrapolations"] == 0
+    assert fit.fit_meta["loglik_trace"] == tuple(trace)
+    assert fit.fit_meta["n_iter"] == len(trace) + fit.fit_meta["rejected"]
+    np.testing.assert_array_equal(fit.weights, weights)
+    np.testing.assert_array_equal(fit.means, means)
+    np.testing.assert_array_equal(fit.covariances, covs)
+
+
+def _overlapping_data():
+    """Two overlapping clusters: the plain loop converges slowly on them."""
+    rng = np.random.default_rng(0)
+    return np.vstack([rng.normal([0, 0, 0], 1.0, size=(200, 3)),
+                      rng.normal([1.5, 1, 0], 1.0, size=(200, 3))])
+
+
+def test_accelerated_em_needs_fewer_e_steps_than_the_plain_loop():
+    data = _overlapping_data()
+    for code in ("VVV", "VEV", "EII"):
+        fit = em_fit(data, 2, code, d_q=2, d_r=1, seed=2)
+        _, trace, _ = _reference_em_run(
+            data, 2, code, 2, 0, mixture.DEFAULT_TOL, mixture.DEFAULT_MAX_ITER
+        )
+        assert fit.fit_meta["extrapolations"] > 0
+        assert 2 * fit.fit_meta["n_iter"] < len(trace)
+        assert fit.fit_meta["loglik"] >= trace[-1] - 1e-6 * abs(trace[-1])
+
+
 # ------------------------------------------------------------ model search
 
 
@@ -293,14 +426,24 @@ def test_model_search_all_failures_raise():
         model_search(data, [], ("EII",), d_q=1, d_r=1, seed=0)
 
 
-def test_model_search_fails_a_cell_whose_projection_breaks_down():
+def test_model_search_fails_a_cell_whose_projection_breaks_down(monkeypatch):
     # VEV's shared shape is zero on the two constant columns only: the cell
     # fails before the coordinate descent, which would overflow chasing that shape
     r = np.random.default_rng(0)
     data = np.c_[r.random(6), np.full(6, 0.5), np.full(6, 0.2), r.random(6)]
+    runs = []
+
+    def counted(*args):
+        runs.append(args[1:3])
+        return em_run(*args)
+
+    em_run = mixture._em_run
+    monkeypatch.setattr(mixture, "_em_run", counted)
     best, table = model_search(data, [1], ["VEV", "EII"], d_q=2, d_r=2, seed=1)
-    assert table[0].status.startswith("failed:")
+    assert table[0].status.startswith("failed: EM failed after 1 attempt: ")
     assert "shared shape is singular" in table[0].status
+    # every K=1 start is the same, so the failing cell is not retried
+    assert runs == [(1, "VEV"), (1, "EII")]
     assert table[1].status == "ok"
     assert best.parametrization == "EII"
 
