@@ -46,7 +46,7 @@ for theta, tx, ty in grid:
     nonmatch = rng.normal(0.0, 0.5, 400)
     tables[(theta, tx, ty)] = (match, nonmatch)
 
-cells, skipped = sweep_grid(tables, grid, (0, 0, 0))
+cells, skipped = sweep_grid(tables, grid)
 print(f"\n{len(cells)} cells evaluated, {len(skipped)} skipped")
 print("theta   tx    hter    auc")
 for cell in cells:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import NUMBER, TEXT, read_rows, write_csv
+from .dataio import write_csv
 from .errors import NumericError, ValidationError
 from .metrics import auc, hter, roc, select_hter_threshold
 
@@ -125,13 +125,6 @@ def map_point(transform: NormalizationTransform, point) -> np.ndarray:
     return rotated / transform.scale + transform.target_center
 
 
-def invert_point(transform: NormalizationTransform, point) -> np.ndarray:
-    """Inverse of map_point."""
-    p = np.asarray(point, dtype=float)
-    rotated = _rotation(transform.angle) @ ((p - transform.target_center) * transform.scale)
-    return rotated + transform.source_center
-
-
 def map_eyes(transform: NormalizationTransform, pair: EyePair) -> EyePair:
     left = map_point(transform, pair.left_arr)
     right = map_point(transform, pair.right_arr)
@@ -146,20 +139,6 @@ def jesorsky(manual: EyePair, detected: EyePair) -> float:
     err_left = float(np.linalg.norm(manual.left_arr - detected.left_arr))
     err_right = float(np.linalg.norm(manual.right_arr - detected.right_arr))
     return max(err_left, err_right) / denom
-
-
-def normalized_error(
-    transform: NormalizationTransform, manual: EyePair, detected: EyePair
-):
-    """Per-eye (dX, dY) in normalized space: detected minus manual."""
-    manual_n = map_eyes(transform, manual)
-    detected_n = map_eyes(transform, detected)
-    delta_left = detected_n.left_arr - manual_n.left_arr
-    delta_right = detected_n.right_arr - manual_n.right_arr
-    return (
-        (float(delta_left[0]), float(delta_left[1])),
-        (float(delta_right[0]), float(delta_right[1])),
-    )
 
 
 def perturb_fixed(pair: EyePair, theta_deg: float, t_x: float, t_y: float) -> EyePair:
@@ -226,11 +205,7 @@ def default_fixed_grid():
     ]
 
 
-def sweep_grid(
-    score_tables: dict,
-    grid=None,
-    baseline_key: tuple | None = None,
-) -> tuple[list[SweepCell], list[tuple]]:
+def sweep_grid(score_tables: dict, grid) -> tuple[list[SweepCell], list[tuple]]:
     """HTER and AUC per perturbation cell from precomputed score tables.
 
     score_tables maps a parameter tuple to (match_scores, nonmatch_scores).
@@ -238,13 +213,10 @@ def sweep_grid(
     cell, then applied to every cell. Cells without a score table are
     skipped and reported in the second return value.
     """
-    if grid is None:
-        grid = default_fixed_grid()
     grid = [tuple(cell) for cell in grid]
     if not grid:
         raise ValidationError("empty sweep grid")
-    if baseline_key is None:
-        baseline_key = tuple(0 for _ in grid[0])
+    baseline_key = tuple(0 for _ in grid[0])
     if baseline_key not in score_tables:
         raise ValidationError(f"baseline cell {baseline_key} has no score table")
     base_match, base_nonmatch = score_tables[baseline_key]
@@ -261,27 +233,6 @@ def sweep_grid(
             SweepCell(cell, hter(match_scores, nonmatch_scores, threshold), auc(curve))
         )
     return rows, skipped
-
-
-def parse_eyes_csv(source):
-    """Parse `image_id,lx,ly,rx,ry,source` rows into (id, EyePair, source)."""
-    rows = read_rows(
-        source,
-        ("image_id", "lx", "ly", "rx", "ry", "source"),
-        (TEXT, NUMBER, NUMBER, NUMBER, NUMBER, TEXT),
-    )
-    return [
-        (image_id, EyePair((lx, ly), (rx, ry)), tag)
-        for image_id, lx, ly, rx, ry, tag in rows
-    ]
-
-
-def write_eyes_csv(rows, sink) -> None:
-    out = [
-        (image_id, pair.left[0], pair.left[1], pair.right[0], pair.right[1], tag)
-        for image_id, pair, tag in rows
-    ]
-    write_csv(sink, ["image_id", "lx", "ly", "rx", "ry", "source"], out)
 
 
 def write_sweep_csv(cells, sink, param_names=("theta", "tx", "ty")) -> None:

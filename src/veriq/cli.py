@@ -22,6 +22,10 @@ from . import alignment, dataio, errormodel, metrics, mixture, quality, uniquene
 from .errors import NumericError, ValidationError
 
 
+# veriq synth refuses requests for more quality values (records x axes).
+_MAX_SYNTH_VALUES = 10**6
+
+
 class UsageError(Exception):
     """Semantically invalid flag combination."""
 
@@ -73,21 +77,19 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def _build_regions(records, args):
+def _regions_and_grid(records, args):
+    """The fit's regions and the points its grid file evaluates: the
+    cluster centers, or grid_points per axis between the first and last
+    interior quantile points."""
     if args.mode == "cluster":
-        return quality.cluster_regions(records, min_members=args.min_members)
+        regions = quality.cluster_regions(records, min_members=args.min_members)
+        return regions, np.array([r.center for r in regions])
     grid = quality.quantile_grid(records, args.n_qs)
-    return quality.build_regions(grid, records, min_members=args.min_members)
-
-
-def _evaluation_grid(records, regions, args) -> np.ndarray:
-    if args.mode == "cluster":
-        return np.array([r.center for r in regions])
-    grid = quality.quantile_grid(records, args.n_qs)
-    axes = [
-        np.linspace(pts[1], pts[-2], args.grid_points) for pts in grid.points
-    ]
-    return np.array([list(combo) for combo in itertools.product(*axes)])
+    axes = [np.linspace(pts[1], pts[-2], args.grid_points) for pts in grid.points]
+    return (
+        quality.build_regions(grid, records, min_members=args.min_members),
+        np.array([list(combo) for combo in itertools.product(*axes)]),
+    )
 
 
 def cmd_fit(args) -> int:
@@ -101,6 +103,11 @@ def cmd_fit(args) -> int:
         raise UsageError("--alpha must lie strictly between 0 and 1")
     if args.grid_points < 1:
         raise UsageError("--grid-points must be >= 1")
+    if args.min_members < 0:
+        raise UsageError("--min-members must be >= 0")
+    for flag, value in (("--prior-a", args.prior_a), ("--prior-b", args.prior_b)):
+        if not 0 < value < math.inf:  # also rejects nan
+            raise UsageError(f"{flag} must be finite and positive")
     families = _parse_cov_models(args.cov_models)
     _check_outputs(args.out_model, args.out_bic, args.out_grid, args.out_regions,
                    args.out_posteriors)
@@ -112,7 +119,7 @@ def cmd_fit(args) -> int:
     operating_point, achieved = metrics.threshold_for_fmr(nonmatch_scores, args.fmr)
     threshold = operating_point.threshold
 
-    regions = _build_regions(records, args)
+    regions, eval_grid = _regions_and_grid(records, args)
     training = errormodel.qr_training_matrix(
         records, regions, threshold, args.n_rand, args.seed, prior
     )
@@ -137,7 +144,6 @@ def cmd_fit(args) -> int:
             for c in table
         ],
     )
-    eval_grid = _evaluation_grid(records, regions, args)
     rates, _, _ = mixture.predict(best, eval_grid)
     q_names = [f"q{i}" for i in range(1, records.quality_dim + 1)]
     dataio.write_csv(
@@ -254,9 +260,7 @@ def cmd_sweep(args) -> int:
     for *key, score, label in rows:
         match_list, nonmatch_list = tables.setdefault(tuple(key), ([], []))
         (match_list if label == dataio.MATCH else nonmatch_list).append(score)
-    grid = sorted(tables.keys())
-    baseline = tuple(0.0 for _ in param_names)
-    cells, skipped = alignment.sweep_grid(tables, grid, baseline)
+    cells, skipped = alignment.sweep_grid(tables, sorted(tables.keys()))
     alignment.write_sweep_csv(cells, args.out, param_names)
     print(f"cells={len(cells)}")
     print(f"skipped={len(skipped)}")
@@ -282,9 +286,22 @@ def cmd_ium(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    if args.axes < 1:
+        raise UsageError("--axes must be >= 1")
     if args.anchors_per_axis < 1:
         raise UsageError("--anchors-per-axis must be >= 1")
-    axis = np.linspace(args.anchor_lo, args.anchor_hi, args.anchors_per_axis)
+    if args.scores_per_cell < 1:
+        raise UsageError("--scores-per-cell must be >= 1")
+    # past 64 axes, 2 or more anchors per axis exceed the cap anyway
+    n_records = args.anchors_per_axis ** min(args.axes, 64) * args.scores_per_cell * 2
+    if n_records * args.axes > _MAX_SYNTH_VALUES:
+        raise UsageError(
+            f"synth would write {args.anchors_per_axis}^{args.axes} anchors x "
+            f"{args.scores_per_cell} scores x 2 labels x {args.axes} quality axes, "
+            f"over {_MAX_SYNTH_VALUES} quality values"
+        )
+    with np.errstate(over="ignore", invalid="ignore"):  # SynthConfig rejects non-finite
+        axis = np.linspace(args.anchor_lo, args.anchor_hi, args.anchors_per_axis)
     anchors = tuple(
         tuple(float(v) for v in combo)
         for combo in itertools.product(axis, repeat=args.axes)

@@ -15,7 +15,7 @@ import math
 import os
 import tempfile
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -78,9 +78,6 @@ class RecordSet:
 
     def scores(self) -> np.ndarray:
         return np.array([r.score for r in self.records], dtype=float)
-
-    def labels(self) -> np.ndarray:
-        return np.array([r.label for r in self.records], dtype=object)
 
     def is_match(self) -> np.ndarray:
         return np.array([r.label == MATCH for r in self.records], dtype=bool)
@@ -228,13 +225,17 @@ def records_to_text(records: RecordSet) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_records(records: RecordSet, sink) -> None:
-    """Write a RecordSet as CSV to a path or text stream (LF line endings)."""
-    text = records_to_text(records)
+def _write_text(sink, text: str) -> None:
+    """Write text to a text stream, or atomically to a path."""
     if hasattr(sink, "write"):
         sink.write(text)
     else:
         atomic_write_text(sink, text)
+
+
+def write_records(records: RecordSet, sink) -> None:
+    """Write a RecordSet as CSV to a path or text stream (LF line endings)."""
+    _write_text(sink, records_to_text(records))
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -271,11 +272,7 @@ def write_csv(path_or_stream, header: list[str], rows) -> None:
 
     lines = [",".join(header)]
     lines.extend(",".join(fmt(v) for v in row) for row in rows)
-    text = "\n".join(lines) + "\n"
-    if hasattr(path_or_stream, "write"):
-        path_or_stream.write(text)
-    else:
-        atomic_write_text(path_or_stream, text)
+    _write_text(path_or_stream, "\n".join(lines) + "\n")
 
 
 def parse_quality_csv(source) -> np.ndarray:
@@ -292,7 +289,8 @@ class ScoreModel:
 
     match score  ~ N(match_base + match_gain * qbar, match_spread^2)
     nonmatch score ~ N(nonmatch_base + nonmatch_gain * qbar, nonmatch_spread^2)
-    where qbar is the mean of the quality vector. Spreads must be positive.
+    where qbar is the mean of the quality vector. Every field must be
+    finite and the spreads positive.
     """
 
     match_base: float = 3.0
@@ -303,6 +301,8 @@ class ScoreModel:
     nonmatch_spread: float = 0.5
 
     def __post_init__(self):
+        if not all(map(math.isfinite, astuple(self))):
+            raise ValidationError("score model fields must be finite")
         if self.match_spread <= 0 or self.nonmatch_spread <= 0:
             raise ValidationError("score spreads must be positive")
 
@@ -342,10 +342,12 @@ class SynthConfig:
         dims = {len(anchor) for anchor in self.quality_grid}
         if len(dims) != 1 or 0 in dims:
             raise ValidationError("quality anchors must share a positive dimension")
+        if not all(math.isfinite(v) for anchor in self.quality_grid for v in anchor):
+            raise ValidationError("quality anchors must be finite")
         if self.n_subjects < 2:
             raise ValidationError("need at least 2 subjects for nonmatch pairs")
-        if self.quality_jitter < 0:
-            raise ValidationError("quality_jitter must be >= 0")
+        if not 0 <= self.quality_jitter < math.inf:  # also rejects nan
+            raise ValidationError("quality_jitter must be finite and >= 0")
 
 
 def synthesize_dataset(config: SynthConfig) -> RecordSet:

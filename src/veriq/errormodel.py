@@ -11,6 +11,7 @@ Acceptance boundary: a score >= threshold counts as an accept.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,15 +45,12 @@ class BetaPosterior:
     b: float
 
     def __post_init__(self):
-        if self.a <= 0 or self.b <= 0:
-            raise ValidationError("Beta shapes must be positive")
+        if not (0 < self.a < math.inf and 0 < self.b < math.inf):  # also rejects nan
+            raise ValidationError("Beta shapes must be finite and positive")
 
     @property
     def mean(self) -> float:
         return self.a / (self.a + self.b)
-
-    def cdf(self, x: float) -> float:
-        return float(special.betainc(self.a, self.b, np.clip(x, 0.0, 1.0)))
 
     def quantile(self, p: float) -> float:
         if not 0.0 <= p <= 1.0:

@@ -507,6 +507,8 @@ def em_fit(
         raise ValidationError(f"need at least k={k} points, got {n}")
     if d_q + d_r != d:
         raise ValidationError("d_q + d_r must equal the data dimension")
+    if not np.all(np.isfinite(data)):
+        raise ValidationError("data must be finite")
     if tol <= 0:
         raise ValidationError("tol must be positive")
     if max_iter < 1:
@@ -536,23 +538,6 @@ def em_fit(
         "ridge_events": counters.get("ridge_events", 0),
         "restarts": attempt,
     })
-
-
-def log_likelihood(model: MixtureModel, data) -> float:
-    """Stable sum of log mixture densities over the rows of data."""
-    data = np.atleast_2d(np.asarray(data, dtype=float))
-    log_joint = _log_component_densities(
-        data, model.weights, model.means, model.covariances
-    )
-    return float(np.sum(_logsumexp(log_joint, axis=0)))
-
-
-def bic(model: MixtureModel, data) -> float:
-    """2*loglik - n_params*ln(N); larger is better."""
-    data = np.atleast_2d(np.asarray(data, dtype=float))
-    return 2.0 * log_likelihood(model, data) - model.n_params * math.log(
-        data.shape[0]
-    )
 
 
 def model_search(
@@ -627,13 +612,15 @@ def _sum_rows(terms: np.ndarray) -> np.ndarray:
     return total
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _condition_rows(model: MixtureModel, queries: np.ndarray):
     """Condition the mixture on each row of an (M, d_q) matrix of finite queries.
 
     Returns psi (K, M), conditional means (K, d_r, M), conditional
-    covariances (K, d_r, d_r), expectations (M, d_r) and the log marginal
-    quality density (M,). The short axes (d_q, K) are summed by _sum_rows,
-    so every row comes out bit for bit as it would in a batch of one.
+    covariances (K, d_r, d_r) and expectations (M, d_r). The short axes
+    (d_q, K) are summed by _sum_rows, so every row comes out bit for bit as
+    it would in a batch of one. A weight or expectation that is not finite,
+    as when a near-singular quality block overflows, raises NumericError.
     """
     if queries.ndim != 2:
         raise ValidationError(f"queries must form an (M, d_q) matrix, got shape {queries.shape}")
@@ -663,14 +650,15 @@ def _condition_rows(model: MixtureModel, queries: np.ndarray):
 
     peak = np.max(log_w, axis=0)
     peak = np.where(np.isfinite(peak), peak, 0.0)
-    with np.errstate(divide="ignore"):
-        log_norm = np.log(_sum_rows(np.exp(log_w - peak))) + peak
+    log_norm = np.log(_sum_rows(np.exp(log_w - peak))) + peak
     psi = np.exp(log_w - log_norm)
     psi = psi / _sum_rows(psi)
     shift = _sum_rows(np.swapaxes(solved, 0, 1)[:, :, :, None] * diff[:, :, None, :])
     cond_means = mu_r[:, :, None] + shift
     expectation = _sum_rows(psi[:, None, :] * cond_means).T
-    return psi, cond_means, cond_covs, expectation, log_norm
+    if not (np.all(np.isfinite(psi)) and np.all(np.isfinite(expectation))):
+        raise NumericError("conditional weights or expectations are not finite")
+    return psi, cond_means, cond_covs, expectation
 
 
 def condition(model: MixtureModel, q) -> ConditionalPrediction:
@@ -681,7 +669,7 @@ def condition(model: MixtureModel, q) -> ConditionalPrediction:
     component's marginal density at q, normalized in the log domain.
     """
     q = np.asarray(q, dtype=float).reshape(1, -1)
-    psi, cond_means, cond_covs, expectation, _ = _condition_rows(model, q)
+    psi, cond_means, cond_covs, expectation = _condition_rows(model, q)
     return ConditionalPrediction(psi[:, 0], cond_means[:, :, 0], cond_covs, expectation[0])
 
 
@@ -694,15 +682,9 @@ def predict(model: MixtureModel, queries) -> tuple[np.ndarray, np.ndarray, np.nd
     queries[i]) bit for bit.
     """
     queries = np.asarray(queries, dtype=float)
-    psi, _, _, expectation, _ = _condition_rows(model, queries)
+    psi, _, _, expectation = _condition_rows(model, queries)
     rates = np.clip(expectation, 0.0, 1.0)
     return rates, rates != expectation, np.argmax(psi, axis=0)
-
-
-def marginal_q_density(model: MixtureModel, q) -> float:
-    """Mixture density of the quality block at q."""
-    q = np.asarray(q, dtype=float).reshape(1, -1)
-    return float(np.exp(_condition_rows(model, q)[4][0]))
 
 
 MODEL_FORMAT_VERSION = 1
@@ -748,6 +730,12 @@ def _doc_field(doc: dict, key: str, convert):
         raise ValidationError(f"model field {key!r} is malformed: {exc}") from exc
 
 
+def _integer(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, found {value!r}")
+    return value
+
+
 def model_from_dict(doc: dict) -> tuple[MixtureModel, OperatingPoint | None]:
     """Load a model document; a missing or malformed field is a ValidationError."""
     if not isinstance(doc, dict):
@@ -759,8 +747,8 @@ def model_from_dict(doc: dict) -> tuple[MixtureModel, OperatingPoint | None]:
     model = MixtureModel(
         *arrays,
         parametrization=_doc_field(doc, "parametrization", str),
-        d_q=_doc_field(doc, "d_q", int),
-        d_r=_doc_field(doc, "d_r", int),
+        d_q=_doc_field(doc, "d_q", _integer),
+        d_r=_doc_field(doc, "d_r", _integer),
         fit_meta=_doc_field(doc, "fit_meta", dict) if "fit_meta" in doc else {},
     )
     point = None

@@ -51,9 +51,6 @@ class QuantileGrid:
     def n_qs(self) -> int:
         return len(self.points[0])
 
-    def interior_count(self) -> int:
-        return (self.n_qs - 2) ** self.dim
-
 
 @dataclass(frozen=True)
 class QualityRegion:
@@ -111,6 +108,18 @@ def fit_region_gaussian(samples) -> tuple[np.ndarray, np.ndarray]:
     return mean, variances
 
 
+def _region(region_id, center, lower, upper, values, members, min_members) -> QualityRegion:
+    """The region over the rows ``members`` of values: their Gaussian, or
+    the center with floor variances below 2 members; sparse below
+    min_members."""
+    if members.size >= 2:
+        mean, variances = fit_region_gaussian(values[members])
+    else:
+        mean, variances = center.copy(), np.full(center.shape[0], VARIANCE_FLOOR)
+    return QualityRegion(region_id, center, lower, upper, tuple(int(i) for i in members),
+                         mean, variances, sparse=members.size < min_members)
+
+
 def build_regions(
     grid: QuantileGrid,
     records,
@@ -133,24 +142,8 @@ def build_regions(
         lower = np.array([grid.points[ax][i - 1] for ax, i in enumerate(combo)])
         upper = np.array([grid.points[ax][i + 1] for ax, i in enumerate(combo)])
         inside = np.all((values >= lower) & (values <= upper), axis=1)
-        member_indices = tuple(int(i) for i in np.flatnonzero(inside))
-        if len(member_indices) >= 2:
-            mean, variances = fit_region_gaussian(values[inside])
-        else:
-            mean = center.copy()
-            variances = np.full(grid.dim, VARIANCE_FLOOR)
-        regions.append(
-            QualityRegion(
-                region_id=region_id,
-                center=center,
-                lower=lower,
-                upper=upper,
-                member_indices=member_indices,
-                mean=mean,
-                variances=variances,
-                sparse=len(member_indices) < min_members,
-            )
-        )
+        regions.append(_region(region_id, center, lower, upper, values,
+                               np.flatnonzero(inside), min_members))
     return regions
 
 
@@ -164,28 +157,11 @@ def cluster_regions(records, min_members: int = MIN_MEMBERS) -> list[QualityRegi
     if values.ndim != 2 or values.shape[0] == 0:
         raise InsufficientDataError("no quality vectors to cluster")
     anchors, inverse = np.unique(values, axis=0, return_inverse=True)
-    regions = []
-    for region_id in range(anchors.shape[0]):
-        members = np.flatnonzero(inverse == region_id)
-        sample = values[members]
-        if sample.shape[0] >= 2:
-            mean, variances = fit_region_gaussian(sample)
-        else:
-            mean = anchors[region_id].copy()
-            variances = np.full(values.shape[1], VARIANCE_FLOOR)
-        regions.append(
-            QualityRegion(
-                region_id=region_id,
-                center=anchors[region_id].copy(),
-                lower=anchors[region_id].copy(),
-                upper=anchors[region_id].copy(),
-                member_indices=tuple(int(i) for i in members),
-                mean=mean,
-                variances=variances,
-                sparse=len(members) < min_members,
-            )
-        )
-    return regions
+    return [
+        _region(region_id, anchor.copy(), anchor.copy(), anchor.copy(), values,
+                np.flatnonzero(inverse == region_id), min_members)
+        for region_id, anchor in enumerate(anchors)
+    ]
 
 
 def write_regions_csv(regions, sink) -> None:

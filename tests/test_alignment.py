@@ -15,16 +15,12 @@ from veriq.alignment import (
     EyePair,
     build_transform,
     default_fixed_grid,
-    invert_point,
     jesorsky,
     map_eyes,
     map_point,
-    normalized_error,
-    parse_eyes_csv,
     perturb_fixed,
     perturb_random,
     sweep_grid,
-    write_eyes_csv,
     write_sweep_csv,
 )
 from veriq.errors import NumericError, ValidationError
@@ -90,16 +86,6 @@ def test_rotating_the_source_changes_only_the_angle():
         assert tf.scale == pytest.approx(70.0 / 33.0, rel=1e-12)
 
 
-def test_map_invert_round_trip():
-    rng = np.random.default_rng(2)
-    source = EyePair((30.0, 40.0), (90.0, 75.0))
-    tf = build_transform(source)
-    for _ in range(20):
-        p = rng.uniform(-100, 200, size=2)
-        np.testing.assert_allclose(invert_point(tf, map_point(tf, p)), p, atol=1e-9)
-        np.testing.assert_allclose(map_point(tf, invert_point(tf, p)), p, atol=1e-9)
-
-
 def test_midpoint_maps_to_target_center():
     source = EyePair((10.0, 20.0), (50.0, 60.0))
     tf = build_transform(source)
@@ -161,29 +147,6 @@ def test_jesorsky_similarity_invariance():
 def test_jesorsky_rejects_coincident_manual_eyes():
     with pytest.raises(DegenerateGeometryError):
         jesorsky(EyePair((1.0, 1.0), (1.0, 1.0)), _HORIZONTAL)
-
-
-def test_normalized_error_zero_and_axis_aligned_shift():
-    tf = build_transform(_HORIZONTAL)
-    left, right = normalized_error(tf, _HORIZONTAL, _HORIZONTAL)
-    assert left == (0.0, 0.0) and right == (0.0, 0.0)
-    # shifting both detected eyes by +scale px in x is +1 px in the
-    # normalized frame
-    shift = tf.scale
-    detected = EyePair(
-        (100.0 + shift, 200.0), (170.0 + shift, 200.0)
-    )
-    left, right = normalized_error(tf, _HORIZONTAL, detected)
-    np.testing.assert_allclose(left, (1.0, 0.0), atol=1e-9)
-    np.testing.assert_allclose(right, (1.0, 0.0), atol=1e-9)
-
-
-def test_normalized_error_sign_is_detected_minus_manual():
-    tf = build_transform(_HORIZONTAL)
-    detected = EyePair((100.0, 200.0 - tf.scale), (170.0, 200.0))
-    left, right = normalized_error(tf, _HORIZONTAL, detected)
-    assert left[1] == pytest.approx(-1.0, abs=1e-9)
-    assert right == (0.0, 0.0)
 
 
 # ------------------------------------------------------------ perturbation
@@ -309,12 +272,12 @@ def test_sweep_grid_requires_the_baseline_cell():
         sweep_grid(tables, [(5, 1, 0)])
     with pytest.raises(ValidationError):
         sweep_grid(_mini_tables(), [])
-
-
-def test_sweep_grid_custom_baseline_key():
-    tables = {(1, 1): (np.array([2.0, 3.0]), np.array([0.0, 1.0]))}
-    cells, skipped = sweep_grid(tables, [(1, 1)], baseline_key=(1, 1))
-    assert len(cells) == 1 and not skipped
+    # the baseline is the all-zero cell of the grid's own width
+    scores = (np.array([2.0, 3.0]), np.array([0.0, 1.0]))
+    with pytest.raises(ValidationError, match=r"baseline cell \(0, 0\)"):
+        sweep_grid({(1, 1): scores}, [(1, 1)])
+    cells, skipped = sweep_grid({(0.0, 0.0): scores, (1, 1): scores}, [(1, 1), (0, 0)])
+    assert len(cells) == 2 and not skipped
 
 
 def test_write_sweep_csv(tmp_path):
@@ -324,30 +287,3 @@ def test_write_sweep_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "theta,tx,ty,hter,auc"
     assert len(lines) == 3
-
-
-# ------------------------------------------------------------------- CSVs
-
-
-def test_eyes_csv_round_trip(tmp_path):
-    rows = [
-        ("img1", EyePair((1.5, 2.5), (3.5, 4.5)), "manual"),
-        ("img2", EyePair((0.1, 0.2), (0.3, 0.4)), "detected"),
-    ]
-    path = tmp_path / "eyes.csv"
-    write_eyes_csv(rows, path)
-    back = parse_eyes_csv(path.read_text())
-    assert [r[0] for r in back] == ["img1", "img2"]
-    assert back[0][1].left == (1.5, 2.5)
-    assert back[1][2] == "detected"
-
-
-def test_eyes_csv_validation():
-    with pytest.raises(ValidationError):
-        parse_eyes_csv("wrong,header\n")
-    with pytest.raises(ValidationError):
-        parse_eyes_csv("image_id,lx,ly,rx,ry,source\nimg,1,2,3\n")
-    with pytest.raises(ValidationError):
-        parse_eyes_csv("image_id,lx,ly,rx,ry,source\nimg,a,2,3,4,manual\n")
-    with pytest.raises(ValidationError, match="line 2: lx: non-finite"):
-        parse_eyes_csv("image_id,lx,ly,rx,ry,source\nimg,nan,2,3,4,manual\n")

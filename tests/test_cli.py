@@ -76,6 +76,35 @@ def test_synth_is_byte_deterministic(tmp_path, capsys):
     assert info["anchors"] == "9"
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--anchor-lo", "nan"), ("--anchor-hi", "inf"), ("--match-spread", "nan"),
+     ("--nonmatch-gain", "inf"), ("--quality-jitter", "inf"), ("--quality-jitter", "nan")],
+)
+def test_synth_rejects_non_finite_settings(tmp_path, capsys, flag, value):
+    dest = tmp_path / "x.csv"
+    code, _, err = run(["synth", "--out", str(dest), "--seed", "1", f"{flag}={value}"],
+                       capsys)
+    assert code == 1
+    assert err.startswith("validation error:") and "finite" in err
+    assert not dest.exists()
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [("--axes", "40", "--anchors-per-axis", "2"),
+     ("--axes", "1000000000", "--anchors-per-axis", "1"),
+     ("--axes", "0"), ("--axes", "-1"), ("--scores-per-cell", "0")],
+)
+def test_synth_rejects_oversized_or_empty_requests(tmp_path, capsys, extra):
+    # 2^40 anchors or 10^9 axes would exhaust memory; the check comes first
+    dest = tmp_path / "x.csv"
+    code, _, err = run(["synth", "--out", str(dest), "--seed", "1", *extra], capsys)
+    assert code == 2
+    assert err.startswith("usage error:") and len(err.splitlines()) == 1
+    assert not dest.exists()
+
+
 def test_seed_is_required(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["synth", "--out", str(tmp_path / "x.csv")])
@@ -243,6 +272,25 @@ def test_fit_rejects_bad_output_settings_before_writing(tmp_path, capsys, flag, 
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--prior-a", "nan"), ("--prior-a", "inf"), ("--prior-a", "0"),
+     ("--prior-b", "nan"), ("--prior-b", "-1"), ("--min-members", "-1")],
+)
+def test_fit_rejects_bad_priors_and_min_members_before_reading(tmp_path, capsys,
+                                                              flag, value):
+    # the records file does not exist: a usage error proves nothing was read
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = ["fit", str(tmp_path / "absent.csv"), *FIT_FLAGS, f"{flag}={value}",
+            "--out-model", str(out / "model.json"), "--out-bic", str(out / "bic.csv"),
+            "--out-grid", str(out / "grid.csv")]
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert err.startswith("usage error:") and flag in err
+    assert list(out.iterdir()) == []
+
+
 def test_predict_matches_library_conditioning(fitted, tmp_path, capsys):
     _, out, _ = fitted
     queries = np.array([[0.1, 0.2], [0.5, 0.5], [0.9, 0.4]])
@@ -314,7 +362,8 @@ def _leading_3x3(covariances):
     + [("means", "x"), ("weights", [0.5, "half"]), ("d_q", "two"),
        ("covariances", _nan_entry), ("fit_meta", [1]),
        ("operating_point", {"label": "no threshold"}),
-       ("means", _first_row), ("covariances", _leading_3x3), ("weights", [1.5, -0.5])],
+       ("means", _first_row), ("covariances", _leading_3x3), ("weights", [1.5, -0.5]),
+       ("d_q", 2.7), ("d_q", 2.0), ("d_r", True)],
 )
 def test_predict_rejects_a_malformed_model_file(fitted, tmp_path, capsys, key, value):
     _, out, _ = fitted
@@ -331,6 +380,23 @@ def test_predict_rejects_a_malformed_model_file(fitted, tmp_path, capsys, key, v
     assert code == 1
     assert len(err.splitlines()) == 1
     assert err.startswith("validation error:")
+
+
+def test_predict_exits_3_when_conditioning_is_not_finite(fitted, tmp_path, capsys):
+    # subnormal covariances overflow the whitened queries
+    _, out, _ = fitted
+    doc = json.loads((out / "model.json").read_text())
+    doc["covariances"] = [np.diag([1e-320] * 4).tolist() for _ in doc["covariances"]]
+    model_path = tmp_path / "subnormal.json"
+    model_path.write_text(json.dumps(doc))
+    qpath = tmp_path / "queries.csv"
+    qpath.write_text("q1,q2\n0.5,0.5\n")
+    dest = tmp_path / "pred.csv"
+    code, _, err = run(["predict", str(model_path), str(qpath), "--out", str(dest)],
+                       capsys)
+    assert code == 3
+    assert err == "numeric error: conditional weights or expectations are not finite\n"
+    assert not dest.exists()
 
 
 # ---------------------------------------------------------------- roc/erc

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from veriq import dataio
-from veriq.alignment import parse_eyes_csv
 from veriq.dataio import (
     LABEL,
     MATCH,
@@ -46,7 +45,6 @@ def test_parse_minimal_file():
     assert rs.ref_quality is False
     first = rs.records[0]
     assert first == VerificationRecord("a", "b", 1.5, MATCH, (0.1, 0.2))
-    assert list(rs.labels()) == [MATCH, NONMATCH]
     assert rs.is_match().tolist() == [True, False]
     np.testing.assert_array_equal(rs.scores(), [1.5, -0.25])
     np.testing.assert_array_equal(rs.quality_matrix(), [[0.1, 0.2], [0.3, 0.4]])
@@ -252,11 +250,7 @@ def _rows_of_records(text):
     ]
 
 
-def _rows_of_eyes(text):
-    return [[i, *pair.left, *pair.right, tag] for i, pair, tag in parse_eyes_csv(text)]
-
-
-# The six input formats: header, cell kinds, and a parser returning rows.
+# The five input formats: header, cell kinds, and a parser returning rows.
 _FORMATS = {
     "records": ("probe_id,ref_id,score,label,q1,q2",
                 (TEXT, TEXT, NUMBER, LABEL, NUMBER, NUMBER), _rows_of_records),
@@ -265,8 +259,6 @@ _FORMATS = {
     "attempts": ("score,label,predicted_error", (NUMBER, LABEL, NUMBER), None),
     "sweep": ("theta,tx,ty,score,label", (NUMBER,) * 4 + (LABEL,), None),
     "iqa": ("q1,q2,gamma1,gamma2", (NUMBER,) * 4, None),
-    "eyes": ("image_id,lx,ly,rx,ry,source",
-             (TEXT, NUMBER, NUMBER, NUMBER, NUMBER, TEXT), _rows_of_eyes),
 }
 
 _CELLS = {
@@ -362,6 +354,14 @@ def test_score_model_requires_positive_spreads():
         ScoreModel(nonmatch_spread=-1.0)
 
 
+@pytest.mark.parametrize("field", ["match_base", "match_gain", "match_spread",
+                                   "nonmatch_base", "nonmatch_gain", "nonmatch_spread"])
+def test_score_model_fields_must_be_finite(field):
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError, match="must be finite"):
+            ScoreModel(**{field: value})
+
+
 def test_synth_config_validation():
     model = ScoreModel()
     grid = ((0.0, 0.0),)
@@ -373,8 +373,12 @@ def test_synth_config_validation():
         SynthConfig(5, 5, (), model, seed=0)
     with pytest.raises(ValidationError):
         SynthConfig(5, 5, ((0.0,), (0.0, 1.0)), model, seed=0)
-    with pytest.raises(ValidationError):
-        SynthConfig(5, 5, grid, model, seed=0, quality_jitter=-0.1)
+    for jitter in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValidationError, match="quality_jitter"):
+            SynthConfig(5, 5, grid, model, seed=0, quality_jitter=jitter)
+    for bad_grid in (((0.0, math.nan),), ((0.0, 0.0), (-math.inf, 1.0))):
+        with pytest.raises(ValidationError, match="anchors must be finite"):
+            SynthConfig(5, 5, bad_grid, model, seed=0)
 
 
 def _grid2d(k, lo=0.0, hi=1.0):

@@ -20,13 +20,10 @@ from veriq.mixture import (
     PARAMETRIZATIONS,
     RIDGE_FACTOR,
     MixtureModel,
-    bic,
     condition,
     dump_model_json,
     em_fit,
     load_model_json,
-    log_likelihood,
-    marginal_q_density,
     model_from_dict,
     model_search,
     model_to_dict,
@@ -116,6 +113,24 @@ def test_unknown_family_is_rejected():
 
 
 # ------------------------------------------------------------ likelihoods
+#
+# References for the fit metadata: built on the library's own density and
+# log-sum-exp kernels, so fit_meta's loglik and bic must equal them bit for bit.
+
+
+def log_likelihood(model, data):
+    """Sum of log mixture densities over the rows of data."""
+    data = np.atleast_2d(np.asarray(data, dtype=float))
+    log_joint = mixture._log_component_densities(
+        data, model.weights, model.means, model.covariances
+    )
+    return float(np.sum(mixture._logsumexp(log_joint, axis=0)))
+
+
+def bic(model, data):
+    """2*loglik - n_params*ln(N); larger is better."""
+    data = np.atleast_2d(np.asarray(data, dtype=float))
+    return 2.0 * log_likelihood(model, data) - model.n_params * math.log(data.shape[0])
 
 
 def test_log_likelihood_matches_naive_oracle():
@@ -235,6 +250,10 @@ def test_em_validation():
         em_fit(data, 2, "VVV", d_q=1, d_r=1, max_iter=0)
     with pytest.raises(ValidationError):
         em_fit(data[0], 1, "VVV", d_q=1, d_r=1)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValidationError, match="data must be finite"):
+            em_fit([[bad, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 1.0]], 2, "VVV",
+                   d_q=1, d_r=1)
 
 
 @pytest.mark.parametrize("code", PARAMETRIZATIONS)
@@ -545,21 +564,27 @@ def test_condition_validation():
         condition(_FROZEN, [float("nan")])
 
 
-def test_marginal_q_density_survives_a_singular_quality_block():
-    model = _model([1.0], [[0.0] * 4], [np.diag([0.0, 1.0, 1.0, 1.0])], d_q=2, d_r=2)
+def test_predict_survives_a_singular_quality_block():
+    # component 0's quality block diag(0, 1) is ridged to diag(r, 1 + r)
+    covs = [np.diag([0.0, 1.0, 1.0, 1.0]), np.eye(4)]
+    model = _model([0.5, 0.5], [[0.0, 0.0, 0.2, 0.3], [0.0, 0.0, 0.8, 0.6]], covs,
+                   d_q=2, d_r=2)
     ridge = RIDGE_FACTOR * 0.5  # trace / d of the quality block diag(0, 1)
-    expected = 1.0 / (2.0 * math.pi * math.sqrt(ridge * (1.0 + ridge)))
-    assert marginal_q_density(model, [0.0, 0.0]) == pytest.approx(expected, rel=1e-12)
+    # density ratio of component 0 to component 1 at q = 0
+    ratio = 1.0 / math.sqrt(ridge * (1.0 + ridge))
+    psi = np.array([ratio, 1.0]) / (ratio + 1.0)
+    rates, clamped, top = predict(model, [[0.0, 0.0]])
+    np.testing.assert_allclose(rates[0], psi @ [[0.2, 0.3], [0.8, 0.6]], rtol=1e-12)
+    assert not clamped.any() and top[0] == 0
 
 
-def test_marginal_q_density_values_and_mass():
-    model = _model([1.0], [[0.0, 0.0]], [np.eye(2)])
-    assert marginal_q_density(model, [0.0]) == pytest.approx(
-        1 / math.sqrt(2 * math.pi), abs=1e-14
-    )
-    grid = np.linspace(-12, 12, 20_001)
-    dens = [marginal_q_density(_FROZEN, [x]) for x in grid]
-    assert np.trapezoid(dens, grid) == pytest.approx(1.0, abs=1e-6)
+def test_non_finite_conditioning_is_a_numeric_error():
+    # a subnormal quality variance overflows the whitened query
+    model = _model([1.0], [[0.0, 0.5]], [np.diag([1e-320, 1.0])])
+    with pytest.raises(NumericError, match="not finite"):
+        predict(model, [[0.1]])
+    with pytest.raises(NumericError, match="not finite"):
+        condition(model, [0.1])
 
 
 def test_predict_clamps_and_flags_a_single_query():
@@ -639,6 +664,15 @@ def test_model_format_version_is_enforced():
         model_from_dict(doc)
     with pytest.raises(ValidationError):
         load_model_json("{not json")
+
+
+@pytest.mark.parametrize("field", ["d_q", "d_r"])
+@pytest.mark.parametrize("value", [2.7, True])
+def test_model_dimensions_must_be_integers(field, value):
+    doc = model_to_dict(_FROZEN)
+    doc[field] = value
+    with pytest.raises(ValidationError, match=f"model field '{field}' is malformed"):
+        model_from_dict(doc)
 
 
 def test_model_weight_validation():

@@ -85,13 +85,6 @@ def test_quantile_grid_validation():
         quantile_grid(constant, 5)
 
 
-def test_interior_count():
-    values = _rng(4).normal(size=(300, 2))
-    assert quantile_grid(values, 12).interior_count() == 100
-    assert quantile_grid(values, 5).interior_count() == 9
-    assert quantile_grid(_rng(5).normal(size=(300, 3)), 4).interior_count() == 8
-
-
 # ------------------------------------------------------------- region build
 
 
