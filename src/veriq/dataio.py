@@ -350,11 +350,13 @@ class SynthConfig:
             raise ValidationError("quality_jitter must be finite and >= 0")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def synthesize_dataset(config: SynthConfig) -> RecordSet:
     """Generate scores_per_cell match + nonmatch records per quality anchor.
 
     Deterministic given config.seed. Ground-truth error rates at any
-    threshold come from config.score_model.fnmr / .fmr.
+    threshold come from config.score_model.fnmr / .fmr. A drawn quality or
+    score that overflows to a non-finite value is a ValidationError.
     """
     rng = np.random.default_rng(config.seed)
     dim = len(config.quality_grid[0])
@@ -377,6 +379,11 @@ def synthesize_dataset(config: SynthConfig) -> RecordSet:
                 else:
                     quality = anchor_arr
                 score = float(rng.normal(mean_fn(quality), spread))
+                if not (math.isfinite(score) and np.all(np.isfinite(quality))):
+                    raise ValidationError(
+                        f"synthesized record {counter + 1} has a non-finite quality or "
+                        "score: the settings overflow"
+                    )
                 records.append(
                     VerificationRecord(
                         probe_id=f"s{subject:04d}",

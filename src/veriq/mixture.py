@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +39,8 @@ COLLAPSE_FLOOR = 1e-3
 # eigh leaves a zero eigenvalue as a residue of a few eps times the largest
 SHAPE_RTOL = 1e-12
 SQUAREM_STEP_FACTOR = 4.0
+# a loaded covariance may be asymmetric by this much of its largest entry
+SYMMETRY_RTOL = 1e-12
 _TINY = 1e-300
 
 
@@ -118,7 +121,11 @@ class ConditionalPrediction:
 
 @dataclass(frozen=True)
 class SearchCell:
-    """One (K, family) entry of the model-search table."""
+    """One (K, family) entry of the model-search table.
+
+    The solver counts are those of the cell's fit_meta; converged means EM
+    stopped before max_iter. A failed cell carries zeros and converged=False.
+    """
 
     k: int
     parametrization: str
@@ -126,6 +133,11 @@ class SearchCell:
     loglik: float
     bic: float
     status: str
+    n_iter: int = 0
+    restarts: int = 0
+    ridge_events: int = 0
+    extrapolations: int = 0
+    converged: bool = False
 
 
 def _logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -540,6 +552,78 @@ def em_fit(
     })
 
 
+class _HoldRecords(logging.Filter):
+    """Keeps back the records this module logs, to be handled later."""
+
+    def __init__(self):
+        super().__init__()
+        self.records: list[logging.LogRecord] = []
+
+    def filter(self, record):
+        self.records.append(record)
+        return False
+
+
+def _fit_cells(data, cells, *, d_q, d_r, seed, tol, max_iter):
+    """Fit (k, idx, family) cells; {(k, idx): (model or error, log records)}.
+
+    Each cell is seeded by SeedSequence([seed, k, idx]), so its result does
+    not depend on which process fits it or in which order. The warnings a
+    cell logs are held back with it, for model_search to handle in table
+    order.
+    """
+    results = {}
+    for k, idx, code in cells:
+        held = _HoldRecords()
+        logger.addFilter(held)
+        try:
+            outcome = em_fit(
+                data, k, code, d_q=d_q, d_r=d_r,
+                seed=int(np.random.SeedSequence([int(seed), k, idx]).generate_state(1)[0]),
+                tol=tol, max_iter=max_iter,
+            )
+        except (NumericError, ValidationError) as exc:
+            outcome = exc
+        finally:
+            logger.removeFilter(held)
+        results[(k, idx)] = (outcome, held.records)
+    return results
+
+
+def _fit_split(data, cells, **fit_args):
+    """_fit_cells over all cells, in this process and one helper per spare CPU.
+
+    The K >= 2 cells, largest K first, are dealt round-robin to
+    min(their number, usable CPUs) processes, this one first; the K = 1
+    cells, which make one short attempt each, stay here. The split is
+    static, so every run fits the same cells in this process. With one
+    process no helper starts. A helper that dies is a NumericError.
+    """
+    spread = sorted((cell for cell in cells if cell[0] >= 2), key=lambda cell: -cell[0])
+    # without Linux's sched_getaffinity the caller fits every cell
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    n_proc = min(len(spread), cpus)
+    if n_proc <= 1:
+        return _fit_cells(data, cells, **fit_args)
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    own = [cell for cell in cells if cell[0] < 2] + spread[0::n_proc]
+    # forked: a spawned helper re-imports numpy and veriq, about 0.4 s
+    with ProcessPoolExecutor(n_proc - 1,
+                             mp_context=multiprocessing.get_context("fork")) as pool:
+        futures = [pool.submit(_fit_cells, data, spread[p::n_proc], **fit_args)
+                   for p in range(1, n_proc)]
+        results = _fit_cells(data, own, **fit_args)
+        try:
+            for future in futures:
+                results.update(future.result())
+        except BrokenProcessPool:
+            raise NumericError("a model-search helper process died") from None
+    return results
+
+
 def model_search(
     data,
     k_range,
@@ -554,35 +638,36 @@ def model_search(
     """Fit every (K, family) cell, return the BIC argmax and the table.
 
     Ties break toward fewer parameters. Failed cells are recorded in the
-    table with their error and skipped in the argmax.
+    table with their error and skipped in the argmax. The cells are fitted
+    on the usable CPUs (see _fit_split); the table, the selected model and
+    the order of the logged warnings do not depend on how many there are.
     """
     k_values = sorted(set(int(k) for k in k_range))
     families = list(parametrization_set)
     if not k_values or not families:
         raise ValidationError("model search needs non-empty K range and families")
     data = np.asarray(data, dtype=float)
+    cells = [(k, idx, code) for k in k_values for idx, code in enumerate(families)]
+    results = _fit_split(data, cells, d_q=d_q, d_r=d_r, seed=seed, tol=tol,
+                         max_iter=max_iter)
     table: list[SearchCell] = []
     fits: list[MixtureModel] = []
-    for k in k_values:
-        for idx, code in enumerate(families):
-            cell_seed = int(
-                np.random.SeedSequence([int(seed), k, idx]).generate_state(1)[0]
-            )
-            try:
-                model = em_fit(
-                    data, k, code, d_q=d_q, d_r=d_r, seed=cell_seed,
-                    tol=tol, max_iter=max_iter,
-                )
-            except (NumericError, ValidationError) as exc:
-                table.append(
-                    SearchCell(k, code, n_params(code, k, data.shape[1]),
-                               math.nan, math.nan, f"failed: {exc}")
-                )
-                continue
-            meta = model.fit_meta
-            table.append(SearchCell(k, code, model.n_params, meta["loglik"],
-                                    meta["bic"], "ok"))
-            fits.append(model)
+    for k, idx, code in cells:
+        model, records = results[(k, idx)]
+        for record in records:
+            logger.handle(record)
+        if isinstance(model, Exception):
+            table.append(SearchCell(k, code, n_params(code, k, data.shape[1]),
+                                    math.nan, math.nan, f"failed: {model}"))
+            continue
+        meta = model.fit_meta
+        table.append(SearchCell(
+            k, code, model.n_params, meta["loglik"], meta["bic"], "ok",
+            n_iter=meta["n_iter"], restarts=meta["restarts"],
+            ridge_events=meta["ridge_events"], extrapolations=meta["extrapolations"],
+            converged=meta["n_iter"] < max_iter,
+        ))
+        fits.append(model)
     if not fits:
         raise NumericError("every model-search cell failed")
     # min keeps the first of equal keys, so equal BICs keep table order
@@ -737,7 +822,12 @@ def _integer(value) -> int:
 
 
 def model_from_dict(doc: dict) -> tuple[MixtureModel, OperatingPoint | None]:
-    """Load a model document; a missing or malformed field is a ValidationError."""
+    """Load a model document; a missing or malformed field is a ValidationError.
+
+    Each covariance must be symmetric to SYMMETRY_RTOL of its largest entry
+    and have a Cholesky factor. Family conformance is not checked: a ridged
+    fit can miss its family by a relative 1e-8.
+    """
     if not isinstance(doc, dict):
         raise ValidationError("model file must hold a JSON object")
     if doc.get("version") != MODEL_FORMAT_VERSION:
@@ -751,6 +841,15 @@ def model_from_dict(doc: dict) -> tuple[MixtureModel, OperatingPoint | None]:
         d_r=_doc_field(doc, "d_r", _integer),
         fit_meta=_doc_field(doc, "fit_meta", dict) if "fit_meta" in doc else {},
     )
+    for j, cov in enumerate(model.covariances):
+        with np.errstate(over="ignore"):  # a difference past the float range is asymmetric
+            asymmetry = np.max(np.abs(cov - cov.T))
+        if asymmetry > SYMMETRY_RTOL * np.max(np.abs(cov)):
+            raise ValidationError(f"covariance {j} is not symmetric")
+        try:
+            np.linalg.cholesky(cov)
+        except np.linalg.LinAlgError:
+            raise ValidationError(f"covariance {j} is not positive definite") from None
     point = None
     if doc.get("operating_point") is not None:
         raw = doc["operating_point"]

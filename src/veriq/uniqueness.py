@@ -2,13 +2,16 @@
 
 A subject whose impostor scores sit far below their own maximum is easy
 to confuse; the uniqueness value u = (max - mean) / (max - min) is 1 when
-the mass sits at the minimum and 0 when it sits at the maximum. u is
+the mass sits at the minimum and 0 when it sits at the maximum. It is
+computed as mean(max - x) / (max - min), because max - mean cancels when
+the scores are close together against their magnitude. u is
 invariant under increasing affine transforms of the scores but, being
 built from extremes, is sensitive to single outliers by design.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,18 +42,29 @@ class IumCorrelation:
 
 
 def ium(impostor_scores, subject_id: str = "") -> IumResult:
-    """u = (max - mean) / (max - min) over one subject's impostor scores."""
+    """u = mean(max - x) / (max - min) over one subject's impostor scores."""
     scores = np.asarray(impostor_scores, dtype=float).reshape(-1)
     if scores.size < 2:
         raise ValidationError("need at least 2 impostor scores")
     s_min = float(scores.min())
     s_max = float(scores.max())
-    s_mean = float(scores.mean())
     if s_max == s_min:
         raise DegenerateScoresError("constant impostor scores give 0/0")
+    # the gaps to the maximum are non-negative, so their mean cannot cancel
+    # as max - mean does; they are summed scaled by a power of two that
+    # brings the span near 1, so neither overflow nor subnormal rounding
+    # reaches them (halved first when the span itself overflows)
+    halve = s_max - s_min == math.inf
+    gaps = s_max / 2 - scores / 2 if halve else s_max - scores
+    span = s_max / 2 - s_min / 2 if halve else s_max - s_min
+    exponent = math.frexp(span)[1]
+    if math.isfinite(max(-s_min, s_max) * scores.size):
+        s_mean = float(scores.mean())
+    else:  # the sum could overflow
+        s_mean = math.ldexp(float(np.mean(np.ldexp(scores, -64))), 64)
     return IumResult(
         subject_id=subject_id,
-        u=(s_max - s_mean) / (s_max - s_min),
+        u=float(np.mean(np.ldexp(gaps, -exponent))) / math.ldexp(span, -exponent),
         n_impostors=int(scores.size),
         s_min=s_min,
         s_max=s_max,

@@ -1,6 +1,8 @@
 """End-to-end command-line checks, run in process via cli.main."""
 
 import json
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -87,6 +89,20 @@ def test_synth_rejects_non_finite_settings(tmp_path, capsys, flag, value):
                        capsys)
     assert code == 1
     assert err.startswith("validation error:") and "finite" in err
+    assert not dest.exists()
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [("--quality-jitter", "1e308"), ("--match-base", "1e308", "--match-gain", "1e308")],
+)
+def test_synth_rejects_settings_that_overflow(tmp_path, capsys, extra):
+    # finite settings whose draws overflow: one line, no file, no RuntimeWarning
+    dest = tmp_path / "x.csv"
+    code, _, err = run(["synth", "--out", str(dest), "--seed", "1", *extra], capsys)
+    assert code == 1
+    assert err.startswith("validation error: synthesized record ")
+    assert "non-finite quality or score" in err and len(err.splitlines()) == 1
     assert not dest.exists()
 
 
@@ -194,6 +210,57 @@ def test_fit_is_byte_deterministic(fitted, tmp_path, capsys):
     out2, _ = fit(tmp_path, capsys, records, subdir="fit2")
     for name in ("model.json", "bic.csv", "grid.csv", "regions.csv"):
         assert (out / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def _criterion_06_records(tmp_path, capsys):
+    return synth(tmp_path, capsys, extra=(
+        "--anchors-per-axis", "8", "--scores-per-cell", "40", "--n-subjects", "64",
+        "--quality-jitter", "0.06", "--match-base", "0.8", "--match-gain", "2.0",
+        "--match-spread", "0.6", "--nonmatch-spread", "0.5", "--seed", "77",
+    ))[0]
+
+
+def _search_fit_argv(records, out):
+    return ["fit", str(records), "--out-model", str(out / "model.json"),
+            "--out-bic", str(out / "bic.csv"), "--out-grid", str(out / "grid.csv"),
+            "--n-qs", "12", "--n-rand", "20", "--fmr", "0.05", "--k-min", "1",
+            "--k-max", "6", "--cov-models", "EII,VII,VVI,VVV", "--seed", "11"]
+
+
+def test_fit_outputs_do_not_depend_on_the_cpu_count(tmp_path, capsys, monkeypatch):
+    records = _criterion_06_records(tmp_path, capsys)
+    outputs = []
+    for n_cpus in (1, 2, 4):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n_cpus)))
+        out = tmp_path / f"cpus{n_cpus}"
+        out.mkdir()
+        code, stdout, err = run(_search_fit_argv(records, out), capsys)
+        assert code == 0, err
+        assert multiprocessing.active_children() == []
+        outputs.append((stdout, err) + tuple(
+            (out / name).read_bytes() for name in ("model.json", "bic.csv", "grid.csv")))
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_fit_exits_3_when_a_search_helper_dies(tmp_path, capsys, monkeypatch):
+    records = _criterion_06_records(tmp_path, capsys)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    caller = os.getpid()
+    fit = mixture.em_fit
+
+    def dies_in_a_helper(*args, **kwargs):
+        if os.getpid() != caller:
+            os._exit(1)
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(mixture, "em_fit", dies_in_a_helper)
+    out = tmp_path / "out"
+    out.mkdir()
+    code, _, err = run(_search_fit_argv(records, out), capsys)
+    assert code == 3
+    assert err == "numeric error: a model-search helper process died\n"
+    assert multiprocessing.active_children() == []
+    assert list(out.iterdir()) == []
 
 
 def test_fit_cluster_mode_uses_anchor_cells(tmp_path, capsys):
@@ -380,6 +447,36 @@ def test_predict_rejects_a_malformed_model_file(fitted, tmp_path, capsys, key, v
     assert code == 1
     assert len(err.splitlines()) == 1
     assert err.startswith("validation error:")
+
+
+def _asymmetric(covariances):
+    covariances[0][0][1] = 2.0
+    return covariances
+
+
+def _negative_variance(covariances):
+    covariances[0][3][3] = -1.0
+    return covariances
+
+
+@pytest.mark.parametrize("broken, message", [
+    (_asymmetric, "validation error: covariance 0 is not symmetric\n"),
+    (_negative_variance, "validation error: covariance 0 is not positive definite\n"),
+])
+def test_predict_rejects_a_covariance_that_is_not_symmetric_positive_definite(
+        fitted, tmp_path, capsys, broken, message):
+    _, out, _ = fitted
+    doc = json.loads((out / "model.json").read_text())
+    doc["covariances"] = broken(doc["covariances"])
+    model_path = tmp_path / "broken.json"
+    model_path.write_text(json.dumps(doc))
+    qpath = tmp_path / "queries.csv"
+    qpath.write_text("q1,q2\n0.5,0.5\n")
+    dest = tmp_path / "pred.csv"
+    code, _, err = run(["predict", str(model_path), str(qpath), "--out", str(dest)],
+                       capsys)
+    assert (code, err) == (1, message)
+    assert not dest.exists()
 
 
 def test_predict_exits_3_when_conditioning_is_not_finite(fitted, tmp_path, capsys):

@@ -1,7 +1,10 @@
 """Mixture fitting, family-constrained M-steps, conditioning, serialization."""
 
+import concurrent.futures
 import logging
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -484,6 +487,146 @@ def test_model_search_is_deterministic():
     np.testing.assert_array_equal(best_a.means, best_b.means)
 
 
+def _flat_cluster_data():
+    """A cluster flat on its last axis beside a round one: VVI and VVV cells
+    of K >= 2 ridge the flat component's covariance and log it."""
+    r = np.random.default_rng(0)
+    return np.vstack([np.c_[r.normal(size=(40, 2)), np.full(40, 0.5)],
+                      r.normal([4, 4, 4], 1.0, size=(40, 3))])
+
+
+_SEARCH_FAMILIES = ("EII", "VVI", "VVV", "EEE")
+
+
+def _with_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _cell_model(data, cell, idx, seed, max_iter):
+    cell_seed = int(np.random.SeedSequence([seed, cell.k, idx]).generate_state(1)[0])
+    return em_fit(data, cell.k, cell.parametrization, d_q=2, d_r=1, seed=cell_seed,
+                  max_iter=max_iter)
+
+
+def test_search_cells_carry_their_fit_meta():
+    data = _flat_cluster_data()
+    # max_iter 6 stops some cells early; K = 90 > N fails
+    _, table = model_search(data, [1, 2, 3, 90], _SEARCH_FAMILIES, d_q=2, d_r=1,
+                            seed=1, max_iter=6)
+    assert [c.status.startswith("failed:") for c in table] == [False] * 12 + [True] * 4
+    for cell in table[12:]:
+        counts = (cell.n_iter, cell.restarts, cell.ridge_events, cell.extrapolations)
+        assert counts == (0, 0, 0, 0) and cell.converged is False
+    ok = table[:12]
+    for pos, cell in enumerate(ok):
+        meta = _cell_model(data, cell, pos % 4, 1, 6).fit_meta
+        assert (cell.loglik, cell.bic, cell.n_iter, cell.restarts, cell.ridge_events,
+                cell.extrapolations) == (meta["loglik"], meta["bic"], meta["n_iter"],
+                                         meta["restarts"], meta["ridge_events"],
+                                         meta["extrapolations"])
+        assert cell.converged == (meta["n_iter"] < 6)
+    assert {c.converged for c in ok} == {True, False}
+    assert any(c.ridge_events for c in ok) and any(c.extrapolations for c in ok)
+
+
+def _search_with_cpus(monkeypatch, caplog, n_cpus, data, k_range, **kwargs):
+    _with_cpus(monkeypatch, n_cpus)
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger=mixture.__name__):
+        best, table = model_search(data, k_range, _SEARCH_FAMILIES, d_q=2, d_r=1,
+                                   **kwargs)
+    assert multiprocessing.active_children() == []
+    return best, table, [r.getMessage() for r in caplog.records]
+
+
+def test_search_does_not_depend_on_the_cpu_count(monkeypatch, caplog):
+    data = _flat_cluster_data()
+    runs = [_search_with_cpus(monkeypatch, caplog, n, data, [1, 2, 3, 90], seed=1)
+            for n in (1, 2, 4)]
+    best, table, log = runs[0]
+    # the warnings come in table order: each cell's own, as em_fit logs them
+    expected = []
+    for pos, cell in enumerate(table[:12]):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger=mixture.__name__):
+            _cell_model(data, cell, pos % 4, 1, mixture.DEFAULT_MAX_ITER)
+        expected += [r.getMessage() for r in caplog.records]
+    assert log == expected and len(log) > 0
+    for other_best, other_table, other_log in runs[1:]:
+        assert [repr(c) for c in other_table] == [repr(c) for c in table]
+        assert other_log == log
+        for name in ("weights", "means", "covariances"):
+            np.testing.assert_array_equal(getattr(other_best, name), getattr(best, name))
+        assert other_best.fit_meta == best.fit_meta
+
+
+class _RecordingPool(concurrent.futures.ProcessPoolExecutor):
+    sizes: list[int] = []
+
+    def __init__(self, max_workers, **kwargs):
+        _RecordingPool.sizes.append(max_workers)
+        super().__init__(max_workers, **kwargs)
+
+
+@pytest.mark.parametrize("n_cpus, k_range, families, helpers", [
+    (4, [1], PARAMETRIZATIONS, []),  # K = 1 cells stay in the caller
+    (4, [1, 2], ("VVI",), []),  # one K >= 2 cell: nothing to share
+    (1, [1, 2, 3], ("EII", "VVI"), []),
+    (4, [1, 2], ("EII", "VVI"), [1]),  # capped by the two K >= 2 cells
+    (4, [2, 3, 4], ("EII", "VVI"), [3]),
+    (2, [2, 3, 4], ("EII", "VVI"), [1]),
+    (None, [2, 3, 4], ("EII", "VVI"), []),  # no os.sched_getaffinity
+])
+def test_search_starts_one_helper_per_spare_cpu_and_cell(
+        monkeypatch, n_cpus, k_range, families, helpers):
+    if n_cpus is None:
+        monkeypatch.delattr(os, "sched_getaffinity")
+    else:
+        _with_cpus(monkeypatch, n_cpus)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    data = _blob_data(14, n=150)
+    model_search(data, k_range, families, d_q=2, d_r=1, seed=3)
+    assert _RecordingPool.sizes == helpers
+    assert multiprocessing.active_children() == []
+
+
+def test_a_dead_helper_is_a_numeric_error(monkeypatch):
+    _with_cpus(monkeypatch, 2)
+    caller = os.getpid()
+    fit = mixture.em_fit
+
+    def dies_in_a_helper(*args, **kwargs):
+        if os.getpid() != caller:
+            os._exit(3)
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(mixture, "em_fit", dies_in_a_helper)
+    with pytest.raises(NumericError, match="model-search helper process died"):
+        model_search(_blob_data(14, n=150), [1, 2, 3], ("EII", "VVI"), d_q=2, d_r=1,
+                     seed=3)
+    assert multiprocessing.active_children() == []
+
+
+def test_a_cell_failing_in_a_helper_is_recorded(monkeypatch):
+    _with_cpus(monkeypatch, 2)
+    caller = os.getpid()
+    fit = mixture.em_fit
+
+    def fails_in_a_helper(*args, **kwargs):
+        if os.getpid() != caller:
+            raise NumericError("failed in a helper")
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(mixture, "em_fit", fails_in_a_helper)
+    best, table = model_search(_blob_data(14, n=150), [1, 2, 3], ("EII", "VVI"),
+                               d_q=2, d_r=1, seed=3)
+    # K = 3 EII and K = 2 EII go to the caller, K = 3 VVI and K = 2 VVI to the helper
+    assert [c.status for c in table] == ["ok", "ok", "ok", "failed: failed in a helper",
+                                         "ok", "failed: failed in a helper"]
+    assert multiprocessing.active_children() == []
+
+
 # ------------------------------------------------------------ conditioning
 
 
@@ -673,6 +816,24 @@ def test_model_dimensions_must_be_integers(field, value):
     doc[field] = value
     with pytest.raises(ValidationError, match=f"model field '{field}' is malformed"):
         model_from_dict(doc)
+
+
+@pytest.mark.parametrize("cov, message", [
+    ([[1.0, 0.6], [0.6 + 1e-16, 1.0]], None),  # rounding-level asymmetry is kept
+    ([[1.0, 0.6], [0.5, 1.0]], "covariance 1 is not symmetric"),
+    ([[1e308, 1.7e308], [-1.7e308, 1e308]], "covariance 1 is not symmetric"),
+    ([[1.0, 2.0], [2.0, 1.0]], "covariance 1 is not positive definite"),
+    ([[0.0, 0.0], [0.0, 1.0]], "covariance 1 is not positive definite"),
+])
+def test_model_covariances_must_be_symmetric_positive_definite(cov, message):
+    doc = model_to_dict(_FROZEN)
+    doc["covariances"][1] = cov
+    if message is None:
+        model, _ = model_from_dict(doc)
+        np.testing.assert_array_equal(model.covariances[1], cov)
+    else:
+        with pytest.raises(ValidationError, match=message):
+            model_from_dict(doc)
 
 
 def test_model_weight_validation():

@@ -1,8 +1,10 @@
 """Impostor-score uniqueness and its cross-session correlation."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from veriq.dataio import MATCH, NONMATCH, RecordSet, VerificationRecord
@@ -44,8 +46,44 @@ def test_ium_is_bounded_and_affine_invariant(scores, a, b):
         return
     base = ium(scores).u
     assert 0.0 <= base <= 1.0
-    transformed = ium(list(a * arr + b)).u
-    assert transformed == pytest.approx(base, abs=1e-9)
+    transformed = a * arr + b
+    # a * x + b is rounded by up to 2 eps |a x + b| per value; moving each
+    # value by delta moves u by at most 4 delta over the transformed range
+    delta = 2 * np.finfo(float).eps * float(np.max(np.abs(a * arr) + abs(b)))
+    span = a * (arr.max() - arr.min())
+    bound = 1e-12 + 4 * delta / max(span - 2 * delta, 1e-300)
+    assert ium(list(transformed)).u == pytest.approx(base, abs=bound)
+
+
+def _exact_u(values):
+    exact = [Fraction(v) for v in values]
+    mean = sum(exact) / len(exact)
+    return (max(exact) - mean) / (max(exact) - min(exact))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.floats(-100, 100, allow_nan=False), min_size=2, max_size=40),
+    st.floats(0.01, 50),
+    st.floats(-100, 100, allow_nan=False),
+)
+@example(scores=[0.0, 4.2025307151839036e-05], a=0.125, b=64.0)
+@example(scores=[0.0, 2.2250738585e-313], a=0.5, b=0.0)
+def test_ium_matches_exact_arithmetic_on_the_values_it_is_given(scores, a, b):
+    # the affine map packs the scores close together against their magnitude
+    for values in (scores, list(a * np.asarray(scores) + b)):
+        if max(values) == min(values):
+            continue
+        assert abs(ium(values).u - float(_exact_u(values))) <= 1e-12
+
+
+def test_ium_does_not_cancel_or_overflow():
+    # max - mean cancelled to u = 0.4999999986474003 here
+    assert ium([64.0, 64.0000052531634]).u == 0.5
+    assert ium([-1e308, 1e308]).u == 0.5  # the span overflows
+    past = ium([1e308, 1e308, 1e308, 0.0])  # the sum and the gaps' sum overflow
+    assert (past.u, past.s_mean) == (0.25, 7.5e307)
+    assert ium([0.0, 5e-324]).u == 0.5  # half the smallest subnormal
 
 
 def test_negating_scores_reflects_u():
