@@ -223,23 +223,21 @@ def cmd_roc(args) -> int:
 
 
 def cmd_erc(args) -> int:
-    attempts = list(
-        dataio.read_rows(
-            _read_text(args.attempts),
-            ("score", "label", "predicted_error"),
-            (dataio.NUMBER, dataio.LABEL, dataio.NUMBER),
-        )
+    scores, is_match, predicted = dataio.read_columns(
+        _read_text(args.attempts),
+        ("score", "label", "predicted_error"),
+        (dataio.NUMBER, dataio.LABEL, dataio.NUMBER),
     )
-    if not attempts:
+    if scores.size == 0:
         raise ValidationError("no attempts in file")
     if (args.threshold is None) == (args.fmr is None):
         raise UsageError("give exactly one of --threshold or --fmr")
     if args.threshold is not None:
         threshold = args.threshold
     else:
-        nonmatch = [a[0] for a in attempts if a[1] == dataio.NONMATCH]
-        point, _ = metrics.threshold_for_fmr(nonmatch, args.fmr)
+        point, _ = metrics.threshold_for_fmr(scores[~is_match], args.fmr)
         threshold = point.threshold
+    attempts = zip(scores.tolist(), is_match.tolist(), predicted.tolist())
     curve = metrics.erc(attempts, threshold, args.error_kind, args.grid_step)
     metrics.write_erc_csv(curve, args.out)
     print(f"threshold={threshold!r}")
@@ -247,20 +245,42 @@ def cmd_erc(args) -> int:
     return 0
 
 
+def _score_tables(key_cols, scores, is_match) -> dict[tuple, tuple]:
+    """{key: (match scores, nonmatch scores)} in ascending key order.
+
+    A stable sort by key, then matches before nonmatches, keeps each
+    class's scores in file order. -0.0 and 0.0 are one key, spelled as in
+    the cell's first row in file order.
+    """
+    if scores.size == 0:
+        return {}
+    order = np.lexsort((~is_match, *reversed(key_cols)))
+    key_rows = np.column_stack(key_cols)
+    keys = key_rows[order]
+    starts = np.flatnonzero(np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)])
+    ends = np.r_[starts[1:], order.size]
+    mids = starts + np.add.reduceat(is_match[order], starts, dtype=np.intp)
+    firsts = np.minimum.reduceat(order, starts)
+    ordered = scores[order]
+    return {
+        tuple(key_rows[first].tolist()): (ordered[start:mid], ordered[mid:end])
+        for first, start, mid, end in zip(
+            firsts.tolist(), starts.tolist(), mids.tolist(), ends.tolist()
+        )
+    }
+
+
 def cmd_sweep(args) -> int:
     param_names = (
         ("theta", "tx", "ty") if args.mode == "fixed" else ("sigma_x", "sigma_y", "seed")
     )
-    rows = dataio.read_rows(
+    *key_cols, scores, is_match = dataio.read_columns(
         _read_text(args.scores),
         param_names + ("score", "label"),
         (dataio.NUMBER,) * (len(param_names) + 1) + (dataio.LABEL,),
     )
-    tables: dict[tuple, tuple[list, list]] = {}
-    for *key, score, label in rows:
-        match_list, nonmatch_list = tables.setdefault(tuple(key), ([], []))
-        (match_list if label == dataio.MATCH else nonmatch_list).append(score)
-    cells, skipped = alignment.sweep_grid(tables, sorted(tables.keys()))
+    tables = _score_tables(key_cols, scores, is_match)
+    cells, skipped = alignment.sweep_grid(tables, list(tables))
     alignment.write_sweep_csv(cells, args.out, param_names)
     print(f"cells={len(cells)}")
     print(f"skipped={len(skipped)}")
@@ -330,10 +350,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_calibrate_iqa(args) -> int:
-    cells = dataio.read_rows(
+    rows = np.column_stack(dataio.read_columns(
         _read_text(args.rows), ("q1", "q2", "gamma1", "gamma2"), (dataio.NUMBER,) * 4
-    )
-    rows = np.array(list(cells))
+    ))
     if rows.size == 0:
         raise ValidationError("no calibration rows in file")
     calibration = quality.fit_iqa_calibration(rows)

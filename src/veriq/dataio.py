@@ -25,7 +25,7 @@ MATCH = "match"
 NONMATCH = "nonmatch"
 LABELS = (MATCH, NONMATCH)
 
-# Cell kinds of read_rows columns.
+# Cell kinds of read_columns columns.
 NUMBER = "number"
 LABEL = "label"
 TEXT = "text"
@@ -95,14 +95,18 @@ def _quality_header(quality_dim: int, ref_quality: bool) -> list[str]:
     return [f"q{i}" for i in range(1, quality_dim + 1)]
 
 
-def _as_lines(source) -> list[str]:
+def _as_text_or_lines(source) -> str | list[str]:
+    """CSV text as one string, or, for a line iterable, its list of lines."""
     if isinstance(source, str):
-        text = source
-    elif isinstance(source, io.TextIOBase) or hasattr(source, "read"):
-        text = source.read()
-    else:
-        return [str(line).rstrip("\r\n") for line in source]
-    return text.splitlines()
+        return source
+    if isinstance(source, io.TextIOBase) or hasattr(source, "read"):
+        return source.read()
+    return [str(line).rstrip("\r\n") for line in source]
+
+
+def _as_lines(source) -> list[str]:
+    data = _as_text_or_lines(source)
+    return data.splitlines() if isinstance(data, str) else data
 
 
 def _parse_header(line: str):
@@ -148,23 +152,44 @@ def _label(token: str) -> str:
 # Callers name kinds, not these converters: perfbench's tracer wraps every
 # public function of a layer, and a span per cell would swamp a traced run.
 _CONVERTERS = {NUMBER: _number, LABEL: _label, TEXT: str.strip}
+_LABEL_SET = frozenset(LABELS)
+
+# The bulk path reads text in chunks of about this many characters, each cut
+# right after a "\n", so str.splitlines() sees the same lines as on the whole
+# text; a list of lines is read this many lines at a time.
+_CHUNK_CHARS = 1 << 18
+_CHUNK_LINES = 1 << 13
 
 
-def read_rows(source, header, kinds) -> Iterator[list]:
-    """Yield the converted rows of a CSV whose first line is exactly ``header``.
+def _line_chunks(data) -> Iterator[list[str]]:
+    if not isinstance(data, str):
+        for start in range(0, len(data), _CHUNK_LINES):
+            yield data[start:start + _CHUNK_LINES]
+        return
+    start = 0
+    while start < len(data):
+        end = data.find("\n", start + _CHUNK_CHARS) + 1 or len(data)
+        yield data[start:end].splitlines()
+        start = end
 
-    ``source`` is CSV text, a text stream or an iterable of lines. ``kinds``
-    gives each column's cell kind: NUMBER converts with ``float()`` and
-    rejects nan and +-inf, LABEL accepts ``match``/``nonmatch``, TEXT keeps
-    the stripped string. Blank lines are skipped. Every bad line gets one
-    1-based ``line N: ...`` message, and after the last good row all of them
-    are raised together, in line order, as one RecordsError. Rows are
-    yielded, not listed, so a caller that groups them holds each only once.
+
+def _check_header(first_line: str, header: list) -> None:
+    if [c.strip() for c in first_line.split(",")] != header:
+        raise RecordsError([f"line 1: expected header {','.join(header)}"])
+
+
+def _read_rows(source, header, kinds) -> Iterator[list]:
+    """Yield the converted rows of a CSV, one line at a time.
+
+    The per-line reader behind read_columns, with the same arguments and
+    checks. Every bad line gets one 1-based ``line N: ...`` message, and
+    after the last good row all of them are raised together, in line order,
+    as one RecordsError. Rows are yielded, not listed, so a caller that
+    builds its own objects holds each row only once.
     """
     lines = _as_lines(source)
     header = list(header)
-    if not lines or [c.strip() for c in lines[0].split(",")] != header:
-        raise RecordsError([f"line 1: expected header {','.join(header)}"])
+    _check_header(lines[0] if lines else "", header)
     converters = [_CONVERTERS[kind] for kind in kinds]
     n_cols = len(header)
     problems = []
@@ -189,6 +214,91 @@ def read_rows(source, header, kinds) -> Iterator[list]:
         raise RecordsError(problems)
 
 
+def _bulk_columns(data, header: list, kinds) -> list | None:
+    """read_columns for an input without a bad line; None at the first fault.
+
+    Each chunk's non-blank lines are joined and split on "," once, so
+    column j is every n-th token. Every line must hold exactly n - 1
+    commas, which keeps the tokens aligned. A NUMBER token is converted by
+    ``float()`` itself. Columns are preallocated from the input's line
+    count and filled chunk by chunk, so no whole-file token list exists.
+    """
+    n_cols = len(kinds)
+    capacity = data.count("\n") + 1 if isinstance(data, str) else len(data)
+    columns = [
+        [] if kind == TEXT else np.empty(capacity, float if kind == NUMBER else bool)
+        for kind in kinds
+    ]
+    filled = 0
+    chunks = _line_chunks(data)
+    first = next(chunks, [])
+    _check_header(first[0] if first else "", header)
+    for lines in itertools.chain([first[1:]], chunks):
+        rows = list(filter(None, map(str.strip, lines)))
+        m = len(rows)
+        if m == 0:
+            continue
+        # more lines than "\n"s: a file with other line ends
+        if filled + m > capacity:
+            return None
+        if set(map(str.count, rows, itertools.repeat(","))) != {n_cols - 1}:
+            return None
+        tokens = ",".join(rows).split(",")
+        for j, (kind, out) in enumerate(zip(kinds, columns)):
+            col = tokens[j::n_cols]
+            if kind == NUMBER:
+                try:
+                    values = np.fromiter(map(float, col), float, count=m)
+                except ValueError:
+                    return None
+                if not np.isfinite(values).all():
+                    return None
+                out[filled:filled + m] = values
+            elif kind == LABEL:
+                if not set(col) <= _LABEL_SET:
+                    col = list(map(str.strip, col))
+                    if not set(col) <= _LABEL_SET:
+                        return None
+                out[filled:filled + m] = np.fromiter(map(MATCH.__eq__, col), bool, count=m)
+            else:
+                out.extend(map(str.strip, col))
+        filled += m
+    return [out if isinstance(out, list) else out[:filled] for out in columns]
+
+
+def _columns_of_rows(rows: list, kinds) -> list:
+    cols = list(zip(*rows)) or [()] * len(kinds)
+    return [
+        list(col) if kind == TEXT
+        else np.array([c == MATCH for c in col], bool) if kind == LABEL
+        else np.array(col, float)
+        for kind, col in zip(kinds, cols)
+    ]
+
+
+def read_columns(source, header, kinds) -> list:
+    """The columns of a CSV whose first line is exactly ``header``.
+
+    ``source`` is CSV text, a text stream or an iterable of lines. ``kinds``
+    gives each column's cell kind and what it becomes: NUMBER a float64
+    array of ``float()`` values (nan and +-inf are rejected), LABEL a bool
+    array, True for ``match`` (``nonmatch`` is the only other label), TEXT a
+    list of stripped strings. Blank lines are skipped; lines end where
+    ``str.splitlines`` ends them.
+
+    The whole input is first converted in bulk. At the first bad cell or
+    column count it is read again line by line, which gives every bad line
+    one 1-based ``line N: ...`` message and raises all of them together, in
+    line order, as one RecordsError.
+    """
+    data = _as_text_or_lines(source)
+    header = list(header)
+    columns = _bulk_columns(data, header, kinds)
+    if columns is None:
+        columns = _columns_of_rows(list(_read_rows(data, header, kinds)), kinds)
+    return columns
+
+
 def parse_records(source, meta: dict | None = None) -> RecordSet:
     """Parse CSV text (string, stream, or line iterable) into a RecordSet.
 
@@ -201,7 +311,7 @@ def parse_records(source, meta: dict | None = None) -> RecordSet:
     kinds = (TEXT, TEXT, NUMBER, LABEL) + (NUMBER,) * quality_dim
     records = tuple(
         VerificationRecord(probe_id, ref_id, score, label, tuple(quality))
-        for probe_id, ref_id, score, label, *quality in read_rows(lines, header, kinds)
+        for probe_id, ref_id, score, label, *quality in _read_rows(lines, header, kinds)
     )
     return RecordSet(records, quality_dim, ref_quality, meta or {})
 
@@ -277,10 +387,13 @@ def write_csv(path_or_stream, header: list[str], rows) -> None:
 
 def parse_quality_csv(source) -> np.ndarray:
     """Parse a CSV with header q1..qM into an (N, M) float matrix."""
-    lines = _as_lines(source)
-    n_axes = lines[0].count(",") + 1 if lines else 1
-    rows = read_rows(lines, _quality_header(n_axes, False), (NUMBER,) * n_axes)
-    return np.array(list(rows), dtype=float).reshape(-1, n_axes)
+    data = _as_text_or_lines(source)
+    # the first line ends at or before the first "\n"
+    first = data.partition("\n")[0].splitlines() if isinstance(data, str) else data
+    n_axes = first[0].count(",") + 1 if first else 1
+    return np.column_stack(
+        read_columns(data, _quality_header(n_axes, False), (NUMBER,) * n_axes)
+    )
 
 
 @dataclass(frozen=True)

@@ -91,7 +91,8 @@ class MixtureModel:
             raise ValidationError("mixture parameters must be finite")
         if np.any(self.weights < 0):
             raise ValidationError("mixture weights must be non-negative")
-        if abs(float(np.sum(self.weights)) - 1.0) > 1e-12:
+        # a weight above 1 is caught before the sum, which it could overflow
+        if np.any(self.weights > 1) or abs(float(np.sum(self.weights)) - 1.0) > 1e-12:
             raise ValidationError("mixture weights must sum to 1")
         if self.d_q + self.d_r != self.means.shape[1]:
             raise ValidationError("d_q + d_r must equal the data dimension")

@@ -1,13 +1,20 @@
 """End-to-end command-line checks, run in process via cli.main."""
 
+import contextlib
+import io
 import json
 import multiprocessing
 import os
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from veriq import cli, mixture
+from veriq import alignment, cli, dataio, mixture
 
 
 def run(argv, capsys):
@@ -423,6 +430,10 @@ def _leading_3x3(covariances):
     return [[row[:3] for row in cov[:3]] for cov in covariances]
 
 
+def _near_float_max(weights):
+    return [1e308] * len(weights)  # their sum overflows
+
+
 @pytest.mark.parametrize(
     "key, value",
     [(key, None) for key in _MODEL_KEYS]
@@ -430,7 +441,7 @@ def _leading_3x3(covariances):
        ("covariances", _nan_entry), ("fit_meta", [1]),
        ("operating_point", {"label": "no threshold"}),
        ("means", _first_row), ("covariances", _leading_3x3), ("weights", [1.5, -0.5]),
-       ("d_q", 2.7), ("d_q", 2.0), ("d_r", True)],
+       ("d_q", 2.7), ("d_q", 2.0), ("d_r", True), ("weights", _near_float_max)],
 )
 def test_predict_rejects_a_malformed_model_file(fitted, tmp_path, capsys, key, value):
     _, out, _ = fitted
@@ -678,6 +689,83 @@ def test_sweep_random_mode_header(tmp_path, capsys):
     assert dest.read_text().splitlines()[0] == "sigma_x,sigma_y,seed,hter,auc"
 
 
+def _dict_grouping_cmd_sweep(args):
+    """cmd_sweep as it grouped rows before the sort: the reference."""
+    param_names = (
+        ("theta", "tx", "ty") if args.mode == "fixed" else ("sigma_x", "sigma_y", "seed")
+    )
+    rows = dataio._read_rows(
+        cli._read_text(args.scores),
+        param_names + ("score", "label"),
+        (dataio.NUMBER,) * (len(param_names) + 1) + (dataio.LABEL,),
+    )
+    tables = {}
+    for *key, score, label in rows:
+        match_list, nonmatch_list = tables.setdefault(tuple(key), ([], []))
+        (match_list if label == dataio.MATCH else nonmatch_list).append(score)
+    cells, skipped = alignment.sweep_grid(tables, sorted(tables.keys()))
+    alignment.write_sweep_csv(cells, args.out, param_names)
+    print(f"cells={len(cells)}")
+    print(f"skipped={len(skipped)}")
+    return 0
+
+
+def _main_in(directory, argv):
+    """cli.main's exit code, stdout, stderr and output files, in process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    files = {p.name: p.read_bytes() for p in sorted(Path(directory).glob("out*"))}
+    return code, out.getvalue(), err.getvalue(), files
+
+
+# -0.0 and 0.0, and 1 and 1e0, are one key spelled more than one way
+_ZERO_SPELLINGS = ("0", "0.0", "-0.0")
+_KEY_SPELLINGS = _ZERO_SPELLINGS + ("1", "1e0", "-2.5")
+
+
+@st.composite
+def _sweep_files(draw):
+    """A mode and rows of (key spellings, score, label); in about half the
+    files every cell, the baseline too, has both classes."""
+    rows = draw(st.lists(
+        st.tuples(
+            st.lists(st.sampled_from(_KEY_SPELLINGS), min_size=3, max_size=3),
+            st.sampled_from(["0.5", "1", "-0.25", "2.0", "1e0", "-0.0", "0.125"]),
+            st.sampled_from(["match", "nonmatch"]),
+        ),
+        max_size=24,
+    ))
+    if draw(st.booleans()):
+        keys = [key for key, _, _ in rows]
+        keys.append(draw(st.lists(st.sampled_from(_ZERO_SPELLINGS), min_size=3, max_size=3)))
+        extra = [(key, "0.75", label) for key in keys for label in ("match", "nonmatch")]
+        rows = draw(st.permutations(rows + extra))
+    return draw(st.sampled_from(["fixed", "random"])), rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(_sweep_files())
+# the cell (0, 1, 0) is spelled -0.0 in its first row, a nonmatch
+@example(("fixed", [(["0", "0", "0"], "1", "match"), (["0", "0", "0"], "0.5", "nonmatch"),
+                    (["-0.0", "1", "0"], "0.5", "nonmatch"),
+                    (["0", "1e0", "0"], "2.0", "match")]))
+def test_sweep_groups_cells_as_the_dict_loop_did(sweep_file):
+    mode, rows = sweep_file
+    header = "theta,tx,ty" if mode == "fixed" else "sigma_x,sigma_y,seed"
+    lines = [f"{header},score,label"]
+    lines += [",".join(key + [score, label]) for key, score, label in rows]
+    with tempfile.TemporaryDirectory() as d:
+        scores = Path(d) / "scores.csv"
+        scores.write_text("\n".join(lines) + "\n")
+        got = _main_in(d, ["sweep", str(scores), "--mode", mode, "--out", f"{d}/out.csv"])
+        with mock.patch.object(cli, "cmd_sweep", _dict_grouping_cmd_sweep):
+            want = _main_in(d, ["sweep", str(scores), "--mode", mode,
+                                "--out", f"{d}/out_ref.csv"])
+    assert got[:3] == want[:3]
+    assert got[3].get("out.csv") == want[3].get("out_ref.csv")
+
+
 # -------------------------------------------------------------------- ium
 
 IUM_RECORDS = (
@@ -839,3 +927,78 @@ def test_unwritable_output_is_a_validation_error(inputs, capsys, argv, reason):
     assert sorted(inputs.rglob("*")) == before
     if argv(inputs)[0] == "fit":
         assert out == ""
+
+
+# ------------------------------------------------- fuzzed CSV-reading input
+
+def _write_attempts(path):
+    path.write_text(f"{ERC_HEADER}\n1.0,match,0.9\n2.0,match,0.8\n0.5,nonmatch,0.2\n"
+                    "3.0,match,0.1\n-1.0,nonmatch,0.3\n")
+
+
+def _write_model_and_queries(path):
+    model = mixture.MixtureModel(np.array([1.0]), np.zeros((1, 4)), np.eye(4)[None],
+                                 "VVV", 2, 2)
+    (path.parent / "model.json").write_text(mixture.dump_model_json(model))
+    path.write_text("q1,q2\n0.5,0.5\n0.2,0.7\n0.9,0.1\n")
+
+
+# subcommand: (writes a valid input file, argv given the input and a directory)
+_FUZZED_COMMANDS = {
+    "erc": (_write_attempts,
+            lambda f, d: ["erc", f, "--threshold", "0.5", "--out", f"{d}/out.csv"]),
+    "sweep": (_sweep_csv, lambda f, d: ["sweep", f, "--out", f"{d}/out.csv"]),
+    "predict": (_write_model_and_queries,
+                lambda f, d: ["predict", f"{d}/model.json", f, "--out", f"{d}/out.csv"]),
+    "calibrate-iqa": (_calibration_csv,
+                      lambda f, d: ["calibrate-iqa", f, "--out-solution", f"{d}/out.json",
+                                    "--out-calibrated", f"{d}/out.csv"]),
+}
+_PREFIXES = ("usage error: ", "validation error: ", "numeric error: ")
+
+
+@st.composite
+def _mutated_lines(draw, lines):
+    """lines after one to three edits: drop, retype or pad a cell, add or
+    remove a comma, break the header, or add a blank or carriage-return line."""
+    lines = list(lines)
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        edit = draw(st.sampled_from(
+            ["drop", "retype", "pad", "add comma", "remove comma", "header", "blank"]))
+        if edit == "blank":
+            lines.insert(draw(st.integers(min_value=1, max_value=len(lines))),
+                         draw(st.sampled_from(["", " ", "\r", "\t\r"])))
+            continue
+        i = 0 if edit == "header" else draw(st.integers(0, len(lines) - 1))
+        cells = lines[i].split(",")
+        j = draw(st.integers(0, len(cells) - 1))
+        if edit == "drop":
+            del cells[j]
+        elif edit in ("retype", "header"):
+            cells[j] = draw(st.sampled_from(
+                ["x", "", "nan", "-inf", "1e999", "Match", "1_0", "0x1", "Q1", "score "]))
+        elif edit == "pad":
+            cells[j] = f" {cells[j]}\t"
+        elif edit == "add comma":
+            cells.insert(j, "")
+        else:
+            cells[j:j + 2] = ["".join(cells[j:j + 2])]
+        lines[i] = ",".join(cells)
+    return lines
+
+
+@pytest.mark.parametrize("command", sorted(_FUZZED_COMMANDS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_a_mutated_input_file_ends_in_an_exit_code_and_prefixed_messages(command, data):
+    write_valid, argv = _FUZZED_COMMANDS[command]
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "input.csv"
+        write_valid(path)
+        lines = data.draw(_mutated_lines(path.read_text().splitlines()))
+        path.write_text("\n".join(lines) + "\n")
+        code, _, err, outputs = _main_in(d, argv(str(path), d))
+    assert code in (0, 1, 2, 3)
+    assert all(line.startswith(_PREFIXES) for line in err.splitlines())
+    if code != 0:
+        assert err and not outputs

@@ -2,6 +2,7 @@
 
 import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from veriq.dataio import (
     VerificationRecord,
     parse_quality_csv,
     parse_records,
-    read_rows,
+    read_columns,
     records_to_text,
     synthesize_dataset,
     write_records,
@@ -243,28 +244,32 @@ def test_parse_quality_csv():
 # ------------------------------------------------------- the shared reader
 
 
-def _rows_of_records(text):
-    return [
-        [r.probe_id, r.ref_id, r.score, r.label, *r.quality]
-        for r in parse_records(text).records
-    ]
+def _columns_of_records(text):
+    rs = parse_records(text)
+    return [[r.probe_id for r in rs.records], [r.ref_id for r in rs.records],
+            rs.scores(), rs.is_match(), *rs.quality_matrix().T]
 
 
-# The five input formats: header, cell kinds, and a parser returning rows.
+# The five input formats: header, cell kinds, and a parser returning columns.
 _FORMATS = {
     "records": ("probe_id,ref_id,score,label,q1,q2",
-                (TEXT, TEXT, NUMBER, LABEL, NUMBER, NUMBER), _rows_of_records),
-    "quality": ("q1,q2,q3", (NUMBER,) * 3,
-                lambda text: parse_quality_csv(text).tolist()),
+                (TEXT, TEXT, NUMBER, LABEL, NUMBER, NUMBER), _columns_of_records),
+    "quality": ("q1,q2,q3", (NUMBER,) * 3, lambda text: list(parse_quality_csv(text).T)),
     "attempts": ("score,label,predicted_error", (NUMBER, LABEL, NUMBER), None),
     "sweep": ("theta,tx,ty,score,label", (NUMBER,) * 4 + (LABEL,), None),
     "iqa": ("q1,q2,gamma1,gamma2", (NUMBER,) * 4, None),
 }
 
+# Good cells as written in a file: valid spellings that float() and the
+# label check read, including padded, underscored, signed and subnormal ones.
 _CELLS = {
-    NUMBER: _float_strategy,
-    LABEL: st.sampled_from([MATCH, NONMATCH]),
-    TEXT: _id_strategy,
+    NUMBER: st.one_of(
+        _float_strategy.map(repr),
+        _float_strategy.map(lambda v: f" {v!r}\t"),
+        st.sampled_from([" 1_000", "+.5E-3", "5e-324", "-0.0", "\t-7 ", "1e-310"]),
+    ),
+    LABEL: st.sampled_from([MATCH, NONMATCH, " match", "nonmatch ", "\tmatch\t"]),
+    TEXT: st.one_of(_id_strategy, _id_strategy.map(lambda v: f" {v} ")),
 }
 _BAD_CELLS = {
     "non-numeric": (NUMBER, st.sampled_from(["", "x", "1.2.3", "0x10", "--1"])),
@@ -275,7 +280,8 @@ _BAD_CELLS = {
 
 @st.composite
 def _csv_bodies(draw, kinds):
-    """Lines after the header, the numbers of the bad ones, and the good rows."""
+    """Lines after the header, the numbers of the bad ones, and the good rows'
+    tokens."""
     lines, bad, good = [], [], []
     choices = ["good", "good", "blank", "columns"] + [
         name for name, (kind, _) in _BAD_CELLS.items() if kind in kinds
@@ -283,12 +289,11 @@ def _csv_bodies(draw, kinds):
     for lineno in range(2, 2 + draw(st.integers(min_value=0, max_value=8))):
         choice = draw(st.sampled_from(choices))
         if choice == "blank":
-            lines.append(draw(st.sampled_from(["", " ", "\t"])))
+            lines.append(draw(st.sampled_from(["", " ", "\t", " \t  "])))
             continue
-        values = [draw(_CELLS[kind]) for kind in kinds]
-        tokens = [repr(v) if kind == NUMBER else v for kind, v in zip(kinds, values)]
+        tokens = [draw(_CELLS[kind]) for kind in kinds]
         if choice == "good":
-            good.append(values)
+            good.append(tokens)
         elif choice == "columns":
             tokens = tokens[:-1] if draw(st.booleans()) else tokens + ["0.5"]
         else:
@@ -301,35 +306,90 @@ def _csv_bodies(draw, kinds):
     return lines, bad, good
 
 
+def _assert_columns_read(columns, kinds, good):
+    """Each column holds exactly what float(), the label check or strip()
+    makes of its tokens; numbers are compared bit for bit."""
+    assert len(columns) == len(kinds)
+    for j, (kind, got) in enumerate(zip(kinds, columns)):
+        tokens = [row[j] for row in good]
+        if kind == NUMBER:
+            expected = np.array([float(t) for t in tokens], dtype=float)
+            got = np.asarray(got)
+            assert got.dtype == np.float64
+            assert got.view(np.int64).tolist() == expected.view(np.int64).tolist()
+        elif kind == LABEL:
+            assert np.asarray(got).dtype == bool
+            assert np.asarray(got).tolist() == [t.strip() == MATCH for t in tokens]
+        else:
+            assert list(got) == [t.strip() for t in tokens]
+
+
 @pytest.mark.parametrize("name", sorted(_FORMATS))
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_every_format_reports_exactly_its_bad_lines(name, data):
     header, kinds, parse = _FORMATS[name]
     if parse is None:
-        parse = lambda text: list(read_rows(text, header.split(","), kinds))  # noqa: E731
+        parse = lambda text: read_columns(text, header.split(","), kinds)  # noqa: E731
     lines, bad, good = data.draw(_csv_bodies(kinds))
-    text = "\n".join([header] + lines) + "\n"
-    if not bad:
-        assert parse(text) == good
-        return
-    with pytest.raises(RecordsError) as excinfo:
-        parse(text)
+    # "\x85" ends a line for str.splitlines() but is no "\n"
+    line_ends = ["\n", "\r\n"] + (["\x85"] if data.draw(st.booleans()) else [])
+    ends = data.draw(st.lists(st.sampled_from(line_ends),
+                              min_size=len(lines) + 1, max_size=len(lines) + 1))
+    text = "".join(line + end for line, end in zip([header] + lines, ends))
+    # small chunks, so that chunk cuts fall between and inside lines
+    chunk_chars = data.draw(st.integers(min_value=1, max_value=48))
+    with mock.patch.object(dataio, "_CHUNK_CHARS", chunk_chars):
+        bulk = dataio._bulk_columns(text, header.split(","), kinds)
+        if not bad:
+            _assert_columns_read(parse(text), kinds, good)
+            if "\x85" not in ends:  # then lines may outnumber the "\n"s
+                assert bulk is not None
+                _assert_columns_read(bulk, kinds, good)
+            return
+        assert bulk is None
+        with pytest.raises(RecordsError) as excinfo:
+            parse(text)
     errors = excinfo.value.errors
     assert [int(msg.split(":")[0].removeprefix("line ")) for msg in errors] == bad
+    with pytest.raises(RecordsError) as per_line:
+        list(dataio._read_rows(text, header.split(","), kinds))
+    assert errors == per_line.value.errors
 
 
-def test_read_rows_names_the_bad_column():
+@settings(max_examples=40, deadline=None)
+@given(rows=st.lists(st.tuples(_CELLS[NUMBER], _CELLS[LABEL], _id_strategy), max_size=6),
+       chunk_lines=st.integers(min_value=1, max_value=4))
+def test_read_columns_takes_a_stream_or_a_line_iterable(rows, chunk_lines):
+    kinds = (NUMBER, LABEL, TEXT)
+    lines = ["a,b,c"] + [",".join(row) for row in rows]
+    text = "\n".join(lines) + "\n"
+    with mock.patch.object(dataio, "_CHUNK_LINES", chunk_lines):
+        for source in (text, io.StringIO(text), iter(lines)):
+            _assert_columns_read(read_columns(source, ["a", "b", "c"], kinds), kinds,
+                                 [list(row) for row in rows])
+
+
+@pytest.mark.parametrize("end", ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                                 "\x85", "\u2028", "\u2029"])
+def test_read_columns_ends_lines_where_splitlines_does(end):
+    text = end.join(["a,b", "1.5,match", "", "-2,nonmatch"]) + end
+    x, is_match = read_columns(text, ["a", "b"], (NUMBER, LABEL))
+    assert x.tolist() == [1.5, -2.0] and is_match.tolist() == [True, False]
+
+
+def test_read_columns_names_the_bad_column():
     text = "a,b,c\nx,1.0,match\ny,oops,match\nz,2.0,maybe\nw,inf,match\n"
     with pytest.raises(RecordsError) as excinfo:
-        list(read_rows(text, ["a", "b", "c"], (TEXT, NUMBER, LABEL)))
+        read_columns(text, ["a", "b", "c"], (TEXT, NUMBER, LABEL))
     assert excinfo.value.errors == [
         "line 3: b: non-numeric value 'oops'",
         "line 4: c: expected match or nonmatch, found 'maybe'",
         "line 5: b: non-finite value 'inf'",
     ]
-    with pytest.raises(RecordsError, match="line 1: expected header a,b,c"):
-        list(read_rows("a,c,b\n", ["a", "b", "c"], (TEXT, NUMBER, LABEL)))
+    for text in ("a,c,b\n", "", "\na,b,c\n"):
+        with pytest.raises(RecordsError, match="line 1: expected header a,b,c"):
+            read_columns(text, ["a", "b", "c"], (TEXT, NUMBER, LABEL))
 
 
 # ---------------------------------------------------------------- ScoreModel
