@@ -18,7 +18,7 @@ import numpy as np
 
 from .dataio import write_csv
 from .errors import NumericError, ValidationError
-from .metrics import auc, hter, roc, select_hter_threshold
+from .metrics import _cells_hter_auc, select_hter_threshold
 
 CANONICAL_LEFT = (15.0, 16.0)
 CANONICAL_RIGHT = (48.0, 16.0)
@@ -221,18 +221,10 @@ def sweep_grid(score_tables: dict, grid) -> tuple[list[SweepCell], list[tuple]]:
         raise ValidationError(f"baseline cell {baseline_key} has no score table")
     base_match, base_nonmatch = score_tables[baseline_key]
     threshold = select_hter_threshold(base_match, base_nonmatch)
-    rows = []
-    skipped = []
-    for cell in grid:
-        if cell not in score_tables:
-            skipped.append(cell)
-            continue
-        match_scores, nonmatch_scores = score_tables[cell]
-        curve = roc(match_scores, nonmatch_scores)
-        rows.append(
-            SweepCell(cell, hter(match_scores, nonmatch_scores, threshold), auc(curve))
-        )
-    return rows, skipped
+    present = [cell for cell in grid if cell in score_tables]
+    skipped = [cell for cell in grid if cell not in score_tables]
+    hters, aucs = _cells_hter_auc([score_tables[cell] for cell in present], threshold)
+    return list(map(SweepCell, present, hters, aucs)), skipped
 
 
 def write_sweep_csv(cells, sink, param_names=("theta", "tx", "ty")) -> None:

@@ -48,6 +48,11 @@ def _check_outputs(*paths) -> None:
             raise ValidationError(f"cannot write {path}: is a directory")
 
 
+def _check_fmr(fmr: float) -> None:
+    if not 0 < fmr < 1:  # also rejects nan
+        raise UsageError("--fmr must lie strictly between 0 and 1")
+
+
 def _parse_cov_models(spec: str) -> list[str]:
     names = [tok.strip().upper() for tok in spec.split(",") if tok.strip()]
     if not names:
@@ -105,6 +110,11 @@ def cmd_fit(args) -> int:
         raise UsageError("--grid-points must be >= 1")
     if args.min_members < 0:
         raise UsageError("--min-members must be >= 0")
+    _check_fmr(args.fmr)
+    if args.mode == "grid" and args.n_qs < 3:
+        raise UsageError("--n-qs must be >= 3 in grid mode")
+    if args.n_rand < 1:
+        raise UsageError("--n-rand must be >= 1")
     for flag, value in (("--prior-a", args.prior_a), ("--prior-b", args.prior_b)):
         if not 0 < value < math.inf:  # also rejects nan
             raise UsageError(f"{flag} must be finite and positive")
@@ -223,6 +233,10 @@ def cmd_roc(args) -> int:
 
 
 def cmd_erc(args) -> int:
+    if (args.threshold is None) == (args.fmr is None):
+        raise UsageError("give exactly one of --threshold or --fmr")
+    if args.fmr is not None:
+        _check_fmr(args.fmr)
     scores, is_match, predicted = dataio.read_columns(
         _read_text(args.attempts),
         ("score", "label", "predicted_error"),
@@ -230,8 +244,6 @@ def cmd_erc(args) -> int:
     )
     if scores.size == 0:
         raise ValidationError("no attempts in file")
-    if (args.threshold is None) == (args.fmr is None):
-        raise UsageError("give exactly one of --threshold or --fmr")
     if args.threshold is not None:
         threshold = args.threshold
     else:

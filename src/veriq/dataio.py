@@ -370,18 +370,39 @@ def atomic_write_text(path, text: str) -> None:
         raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
+def _format_cell(value) -> str:
+    if isinstance(value, (bool, np.bool_)):
+        return str(bool(value)).lower()
+    if isinstance(value, (float, np.floating)):
+        return _format_float(value)
+    return str(value)
+
+
+_BOOL_TEXT = {True: "true", False: "false"}
+
+
+def _format_column(column) -> list[str]:
+    """_format_cell of every value, one call per column where one type fills it."""
+    types = set(map(type, column))
+    if types == {float}:
+        return list(map(float.__repr__, column))
+    if types == {bool}:
+        return list(map(_BOOL_TEXT.__getitem__, column))
+    if types == {int} or types == {str}:
+        return list(map(str, column))
+    return list(map(_format_cell, column))
+
+
 def write_csv(path_or_stream, header: list[str], rows) -> None:
-    """Emit a small CSV: floats via repr, everything else via str."""
+    """Emit a CSV: bools as true/false, floats via repr, everything else via str.
 
-    def fmt(value):
-        if isinstance(value, (bool, np.bool_)):
-            return str(bool(value)).lower()
-        if isinstance(value, (float, np.floating)):
-            return _format_float(value)
-        return str(value)
-
+    ``rows`` may be a one-shot iterator of equal-length rows; it is listed
+    once and formatted column by column.
+    """
+    rows = list(rows)
+    columns = [_format_column(column) for column in zip(*rows, strict=True)]
     lines = [",".join(header)]
-    lines.extend(",".join(fmt(v) for v in row) for row in rows)
+    lines.extend(map(",".join, zip(*columns)) if columns else [""] * len(rows))
     _write_text(path_or_stream, "\n".join(lines) + "\n")
 
 

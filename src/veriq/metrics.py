@@ -20,6 +20,9 @@ from .errormodel import OperatingPoint
 from .errors import NumericError, ValidationError
 
 ERC_GRID_STEP = 1.0 / 200.0
+# cells per sort in _cells_hter_auc: at 100 scores a cell its arrays stay
+# under 1 MiB (128 cells raised a 1,089-cell sweep's peak RSS by ~2 MiB)
+SWEEP_BLOCK_CELLS = 32
 
 
 class EmptyClassError(ValidationError):
@@ -159,6 +162,75 @@ def hter(match_scores, nonmatch_scores, threshold: float) -> float:
     return (far + frr) / 2.0
 
 
+def _cells_hter_auc(tables, threshold: float) -> tuple[list[float], list[float]]:
+    """hter(m, n, threshold) and auc(roc(m, n)) for every (m, n) of tables.
+
+    Bit for bit the per-cell values, from one lexsort by (cell, score) per
+    block of SWEEP_BLOCK_CELLS cells (Fawcett 2006, Alg. 1, segmented by
+    cell). A cell's ROC thresholds are the midpoints of its adjacent pooled
+    unique scores; the midpoint above a unique value u lies in [u, next u]
+    and equals u only in the subnormal range, where the scores at u are then
+    not below it. Each AUC is one np.sum over the cell's trapezoid terms in
+    descending-threshold order, as in auc(). The first empty or non-finite
+    class raises what roc() raises.
+    """
+    hters: list[float] = []
+    aucs: list[float] = []
+    for start in range(0, len(tables), SWEEP_BLOCK_CELLS):
+        block = tables[start:start + SWEEP_BLOCK_CELLS]
+        arrays = [np.asarray(s, dtype=float).reshape(-1) for pair in block for s in pair]
+        sizes = np.array([a.size for a in arrays]).reshape(-1, 2)
+        scores = np.concatenate(arrays)
+        if not (sizes.all() and np.isfinite(scores).all()):
+            for m, n in block:
+                _as_scores(m, "match")
+                _as_scores(n, "nonmatch")
+        n_match, n_nonmatch = sizes[:, 0], sizes[:, 1]
+        # arrays alternate match, nonmatch: slot 2j + 1 is cell j's nonmatch
+        slot = np.repeat(np.arange(sizes.size), sizes.ravel())
+        cell, is_match = slot // 2, slot % 2 == 0
+
+        below = scores < threshold
+        n_cells = len(block)
+        frr = np.bincount(cell[is_match & below], minlength=n_cells) / n_match
+        far = np.bincount(cell[~is_match & ~below], minlength=n_cells) / n_nonmatch
+        hters.extend(((far + frr) / 2.0).tolist())
+
+        order = np.lexsort((scores, cell))
+        value, cell, is_match = scores[order], cell[order], is_match[order]
+        first = np.r_[True, (cell[1:] != cell[:-1]) | (value[1:] != value[:-1])]
+        group = np.flatnonzero(first)  # start of each pooled unique score
+        g_cell, g_value = cell[group], value[group]
+        g_end = np.r_[group[1:], value.size]
+        # the threshold just above each unique value: +inf above a cell's largest
+        mids = np.r_[g_value[:-1] / 2.0 + g_value[1:] / 2.0, math.inf]
+        upper = np.where(np.r_[g_cell[1:] != g_cell[:-1], True], math.inf, mids)
+        # the scores below it end at the next value, or before this one
+        stop = np.where(upper > g_value, g_end, group)
+        cell_start = np.r_[0, np.cumsum(sizes.sum(axis=1))][g_cell]
+        matches_before = np.r_[0, np.cumsum(is_match)]
+        below_match = matches_before[stop] - matches_before[cell_start]
+        below_nonmatch = stop - cell_start - below_match
+
+        # ROC points by descending threshold: each cell's unique values from
+        # its largest down, then -inf (FAR 1, FRR 0) before the next cell
+        n_groups = np.bincount(g_cell, minlength=n_cells)
+        point_start = np.r_[0, np.cumsum(n_groups + 1)]
+        top = point_start[:-1] + n_groups - 1 + np.r_[0, np.cumsum(n_groups)[:-1]]
+        pos = top[g_cell] - np.arange(g_cell.size)
+        f = np.ones(point_start[-1])
+        frr = np.zeros(point_start[-1])
+        f[pos] = (n_nonmatch[g_cell] - below_nonmatch) / n_nonmatch[g_cell]
+        frr[pos] = below_match / n_match[g_cell]
+        c = 1.0 - frr
+        terms = (f[1:] - f[:-1]) * (c[1:] + c[:-1]) / 2.0
+        aucs.extend(
+            float(np.sum(terms[lo:lo + k]))
+            for lo, k in zip(point_start[:-1].tolist(), n_groups.tolist())
+        )
+    return hters, aucs
+
+
 def _kept_counts(flags: np.ndarray, order: np.ndarray, n_reject: np.ndarray) -> np.ndarray:
     """How many flagged attempts remain once the first n_reject of order are rejected."""
     suffix = np.cumsum(flags[order][::-1])[::-1]
@@ -224,10 +296,11 @@ def erc(
 
 
 def write_roc_csv(curve: RocCurve, sink) -> None:
-    rows = zip(curve.far, curve.frr, curve.car, curve.thresholds)
+    rows = zip(curve.far.tolist(), curve.frr.tolist(), curve.car.tolist(),
+               curve.thresholds.tolist())
     write_csv(sink, ["far", "frr", "car", "threshold"], rows)
 
 
 def write_erc_csv(curve: ErcCurve, sink) -> None:
-    rows = zip(curve.fractions, curve.residual, curve.ideal)
+    rows = zip(curve.fractions.tolist(), curve.residual.tolist(), curve.ideal.tolist())
     write_csv(sink, ["reject_fraction", "residual_error", "ideal_error"], rows)

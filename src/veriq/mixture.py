@@ -35,7 +35,6 @@ DEFAULT_MAX_ITER = 500
 EM_RETRIES = 5
 ORIENTATION_INNER_ITER = 20
 RIDGE_FACTOR = 1e-8
-COLLAPSE_FLOOR = 1e-3
 # eigh leaves a zero eigenvalue as a residue of a few eps times the largest
 SHAPE_RTOL = 1e-12
 SQUAREM_STEP_FACTOR = 4.0
@@ -355,8 +354,13 @@ def _e_step(data: np.ndarray, params) -> tuple[float, np.ndarray]:
     return float(np.sum(log_norm)), np.exp(log_joint - log_norm)
 
 
-def _collapsed(resp: np.ndarray) -> bool:
-    return bool(np.min(resp.sum(axis=1)) < COLLAPSE_FLOOR)
+def _collapsed(resp: np.ndarray, d: int) -> bool:
+    """A component holds less responsibility mass than d + 1 rows.
+
+    With fewer, a full covariance has no support: on a single row it sits at
+    the ridge floor or falls towards 0, and the likelihood spike buys BIC.
+    """
+    return bool(np.min(resp.sum(axis=1)) < d + 1)
 
 
 def _extrapolate(p0, p1, p2, step_max: float):
@@ -400,7 +404,7 @@ def _squarem_step(data, code, point, evaluate, counters):
     counters["extrapolations"] += 1
     with np.errstate(over="ignore", invalid="ignore"):  # a near-singular point
         loglik, resp = evaluate(point)
-    if not math.isfinite(loglik) or _collapsed(resp):
+    if not math.isfinite(loglik) or _collapsed(resp, data.shape[1]):
         return None
     try:
         params = _m_step(data, resp, code, point[2], counters)
@@ -437,6 +441,7 @@ def _em_run(data, k, code, seed, attempt, tol, max_iter):
     """
     counters = {"e_steps": 0, "extrapolations": 0, "rejected": 0}
     rng = np.random.default_rng([int(seed), attempt])
+    d = data.shape[1]
 
     def evaluate(params):
         counters["e_steps"] += 1
@@ -448,7 +453,7 @@ def _em_run(data, k, code, seed, attempt, tol, max_iter):
     anchor = None  # the cycle's p0 while params is its p1
     step_max = 1.0
     while True:
-        if _collapsed(resp):
+        if _collapsed(resp, d):
             raise NumericError(f"component collapsed (seed {seed}, attempt {attempt})")
         if trace and loglik < trace[-1]:
             counters["rejected"] += 1
@@ -472,7 +477,7 @@ def _em_run(data, k, code, seed, attempt, tol, max_iter):
                 step_max *= SQUAREM_STEP_FACTOR
             if step > 1.0:
                 found = _squarem_step(data, code, point, evaluate, counters)
-            if found is not None and (_collapsed(found[2]) or not found[1] >= loglik):
+            if found is not None and (_collapsed(found[2], d) or not found[1] >= loglik):
                 counters["rejected"] += 1
                 if at_bound:
                     step_max = max(1.0, step / SQUAREM_STEP_FACTOR)

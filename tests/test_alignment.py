@@ -1,9 +1,14 @@
 """Eye-based similarity normalization, landmark errors, perturbation sweeps."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from veriq import metrics
 
 from veriq.alignment import (
     CANONICAL_FRAME,
@@ -13,6 +18,7 @@ from veriq.alignment import (
     TRANSLATION_GRID_PX,
     DegenerateGeometryError,
     EyePair,
+    SweepCell,
     build_transform,
     default_fixed_grid,
     jesorsky,
@@ -24,6 +30,7 @@ from veriq.alignment import (
     write_sweep_csv,
 )
 from veriq.errors import NumericError, ValidationError
+from veriq.metrics import auc, hter, roc, select_hter_threshold
 
 _HORIZONTAL = EyePair((100.0, 200.0), (170.0, 200.0))
 
@@ -287,3 +294,74 @@ def test_write_sweep_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "theta,tx,ty,hter,auc"
     assert len(lines) == 3
+
+
+def _per_cell_sweep(score_tables, grid):
+    """sweep_grid as one roc, auc and hter call per cell: the reference."""
+    grid = [tuple(cell) for cell in grid]
+    match, nonmatch = score_tables[tuple(0 for _ in grid[0])]
+    threshold = select_hter_threshold(match, nonmatch)
+    cells = [
+        SweepCell(cell, hter(m, n, threshold), auc(roc(m, n)))
+        for cell in grid if cell in score_tables
+        for m, n in [score_tables[cell]]
+    ]
+    return cells, [cell for cell in grid if cell not in score_tables]
+
+
+# ties within and across classes, signed zeros, subnormals, and scores
+# whose sum overflows (the midpoint is taken as a/2 + b/2)
+_SWEEP_SCORES = st.sampled_from(
+    [0.0, -0.0, 5e-324, 1e-323, 1.5e-323, -5e-324, 2.2250738585072014e-308,
+     1e308, -1e308, 1.7976931348623157e308, 0.5, 1.0, 2.0, -1.0, 3.25]
+) | st.floats(-10, 10, allow_nan=False)
+
+
+@st.composite
+def _sweep_tables(draw):
+    """Score tables over cells (0..3, 0..3), the baseline among them, and a
+    grid that may list cells without a table; now and then a class is empty."""
+    keys = draw(st.sets(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=12))
+    keys = sorted(keys | {(0, 0)})
+    classes = st.lists(_SWEEP_SCORES, min_size=1, max_size=6)
+    if draw(st.integers(0, 9)) == 0:
+        classes = st.lists(_SWEEP_SCORES, max_size=6)
+    tables = {key: (np.array(draw(classes)), np.array(draw(classes))) for key in keys}
+    extra = draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=4))
+    grid = draw(st.permutations(keys + extra))
+    return tables, grid
+
+
+def _outcome(sweep, tables, grid):
+    try:
+        cells, skipped = sweep(tables, grid)
+    except ValidationError as exc:
+        return type(exc), str(exc)
+    # bit for bit: hex keeps -0.0 apart from 0.0
+    return [(c.params, c.hter.hex(), c.auc.hex()) for c in cells], skipped
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sweep_tables(), st.integers(1, 5))
+@example(({(0, 0): (np.array([1e308, -1e308]), np.array([1.7976931348623157e308])),
+           (1, 0): (np.array([5e-324, 0.0]), np.array([-0.0, 1e-323, 5e-324]))},
+          [(1, 0), (0, 0), (2, 2)]), 1)
+@example(({(0, 0): (np.array([1.0]), np.array([0.0])),
+           (1, 1): (np.array([2.0]), np.array([]))}, [(0, 0), (1, 1)]), 2)
+def test_sweep_grid_equals_one_roc_per_cell(case, block):
+    tables, grid = case
+    expected = _outcome(_per_cell_sweep, tables, grid)
+    with mock.patch.object(metrics, "SWEEP_BLOCK_CELLS", block):
+        assert _outcome(sweep_grid, tables, grid) == expected
+
+
+def test_sweep_grid_reports_the_first_empty_class_as_roc_does():
+    scores = np.array([1.0, 2.0])
+    empty = np.array([])
+    tables = {(0,): (scores, scores), (1,): (scores, empty), (2,): (empty, scores),
+              (3,): (empty, empty)}
+    with pytest.raises(metrics.EmptyClassError, match="^nonmatch score set is empty$"):
+        sweep_grid(tables, [(0,), (1,), (2,)])
+    for grid in ([(0,), (2,), (1,)], [(0,), (3,)]):
+        with pytest.raises(metrics.EmptyClassError, match="^match score set is empty$"):
+            sweep_grid(tables, grid)

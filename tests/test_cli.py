@@ -349,7 +349,9 @@ def test_fit_rejects_bad_output_settings_before_writing(tmp_path, capsys, flag, 
 @pytest.mark.parametrize(
     "flag, value",
     [("--prior-a", "nan"), ("--prior-a", "inf"), ("--prior-a", "0"),
-     ("--prior-b", "nan"), ("--prior-b", "-1"), ("--min-members", "-1")],
+     ("--prior-b", "nan"), ("--prior-b", "-1"), ("--min-members", "-1"),
+     ("--fmr", "0"), ("--fmr", "1"), ("--fmr", "-0.5"), ("--fmr", "nan"),
+     ("--n-qs", "2"), ("--n-rand", "0")],
 )
 def test_fit_rejects_bad_priors_and_min_members_before_reading(tmp_path, capsys,
                                                               flag, value):
@@ -586,6 +588,22 @@ def test_erc_requires_exactly_one_threshold_source(tmp_path, capsys):
         ["erc", str(attempts), "--threshold", "1.0", "--fmr", "0.1"], capsys
     )
     assert code == 2 and "exactly one" in err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [([], "exactly one"), (["--threshold", "1.0", "--fmr", "0.1"], "exactly one"),
+     (["--fmr", "0"], "--fmr"), (["--fmr", "1.5"], "--fmr"), (["--fmr", "nan"], "--fmr")],
+)
+def test_erc_rejects_bad_flags_before_reading(tmp_path, capsys, flags, message):
+    # the attempts file does not exist: a usage error proves nothing was read
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = ["erc", str(tmp_path / "absent.csv"), *flags, "--out", str(out / "erc.csv")]
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert err.startswith("usage error:") and message in err
+    assert list(out.iterdir()) == []
 
 
 def test_erc_rejects_bad_attempts_file(tmp_path, capsys):
@@ -943,8 +961,31 @@ def _write_model_and_queries(path):
     path.write_text("q1,q2\n0.5,0.5\n0.2,0.7\n0.9,0.1\n")
 
 
+def _write_records(path):
+    anchors = tuple((a, b) for a in (0.2, 0.5, 0.8) for b in (0.2, 0.5, 0.8))
+    config = dataio.SynthConfig(n_subjects=6, scores_per_cell=4, quality_grid=anchors,
+                                score_model=dataio.ScoreModel(), seed=5,
+                                quality_jitter=0.05)
+    dataio.write_records(dataio.synthesize_dataset(config), path)
+
+
+def _write_queries_and_model(path):
+    _write_model_and_queries(path.parent / "queries.csv")
+    path.write_text((path.parent / "model.json").read_text())
+
+
 # subcommand: (writes a valid input file, argv given the input and a directory)
 _FUZZED_COMMANDS = {
+    "validate": (_write_records, lambda f, d: ["validate", f]),
+    "roc": (_write_records, lambda f, d: ["roc", f, "--out", f"{d}/out.csv"]),
+    "ium": (_write_records, lambda f, d: ["ium", f, "--out", f"{d}/out.csv"]),
+    "fit": (_write_records,
+            lambda f, d: ["fit", f, "--out-model", f"{d}/out.json",
+                          "--out-bic", f"{d}/out_bic.csv",
+                          "--out-grid", f"{d}/out_grid.csv", *FIT_FLAGS]),
+    "predict-model": (_write_queries_and_model,
+                      lambda f, d: ["predict", f, f"{d}/queries.csv",
+                                    "--out", f"{d}/out.csv"]),
     "erc": (_write_attempts,
             lambda f, d: ["erc", f, "--threshold", "0.5", "--out", f"{d}/out.csv"]),
     "sweep": (_sweep_csv, lambda f, d: ["sweep", f, "--out", f"{d}/out.csv"]),

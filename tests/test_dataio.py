@@ -229,6 +229,59 @@ def test_write_csv_formats_floats_and_bools(tmp_path):
     assert float(lines[2].split(",")[0]) == 1 / 3
 
 
+def _per_value_csv(header, rows):
+    """write_csv's text formatted one value at a time: the reference."""
+
+    def fmt(value):
+        if isinstance(value, (bool, np.bool_)):
+            return str(bool(value)).lower()
+        if isinstance(value, (float, np.floating)):
+            return repr(float(value))
+        return str(value)
+
+    lines = [",".join(header)] + [",".join(fmt(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+_CSV_FLOATS = st.sampled_from(
+    [-0.0, 0.0, 5e-324, 1e308, -1e308, math.inf, math.nan, 0.1, 1 / 3]
+) | st.floats()
+_CSV_VALUES = {
+    "bool": st.booleans(),
+    "np.bool_": st.booleans().map(np.bool_),
+    "int": st.integers(-10**20, 10**20),
+    "str": st.text(st.characters(blacklist_characters=",\r\n"), max_size=5),
+    "float": _CSV_FLOATS,
+    "np.float64": _CSV_FLOATS.map(np.float64),
+    "np.float32": st.floats(width=32).map(np.float32),
+    "np.int64": st.integers(-2**63, 2**63 - 1).map(np.int64),
+}
+
+
+@st.composite
+def _csv_tables(draw):
+    """Columns of one value type each, or now and then of mixed types."""
+    kinds = st.sampled_from(sorted(_CSV_VALUES))
+    column_kinds = draw(st.lists(st.lists(kinds, min_size=1, max_size=3),
+                                 min_size=1, max_size=4))
+    n_rows = draw(st.integers(0, 6))
+    columns = [
+        [draw(_CSV_VALUES[draw(st.sampled_from(mix))]) for _ in range(n_rows)]
+        for mix in column_kinds
+    ]
+    header = [f"c{j}" for j in range(len(columns))]
+    return header, [tuple(row) for row in zip(*columns)] if n_rows else []
+
+
+@settings(max_examples=200, deadline=None)
+@given(_csv_tables())
+def test_write_csv_equals_the_per_value_reference(table):
+    header, rows = table
+    sink = io.StringIO()
+    dataio.write_csv(sink, header, iter(rows))  # a one-shot iterator, as traced
+    assert sink.getvalue() == _per_value_csv(header, rows)
+
+
 def test_parse_quality_csv():
     mat = parse_quality_csv("q1,q2\n0.1,0.2\n0.3,0.4\n")
     np.testing.assert_array_equal(mat, [[0.1, 0.2], [0.3, 0.4]])

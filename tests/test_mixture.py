@@ -298,7 +298,7 @@ def _reference_em_run(data, k, code, seed, attempt, tol, max_iter):
         log_norm = mixture._logsumexp(log_joint, axis=0)
         loglik = float(np.sum(log_norm))
         resp = np.exp(log_joint - log_norm)
-        if np.min(resp.sum(axis=1)) < mixture.COLLAPSE_FLOOR:
+        if np.min(resp.sum(axis=1)) < data.shape[1] + 1:
             raise NumericError(f"component collapsed (seed {seed}, attempt {attempt})")
         if trace and loglik < trace[-1]:
             return previous, trace, counters
@@ -437,6 +437,18 @@ def test_model_search_skips_infeasible_cells():
     statuses = {cell.k: cell.status for cell in table}
     assert statuses[1] == "ok"
     assert statuses[6].startswith("failed:")
+    assert best.n_components == 1
+
+
+def test_a_component_on_one_row_counts_as_collapsed():
+    # a far outlier draws the second component onto itself alone, where a
+    # full covariance sits at the ridge floor and its spike would buy BIC
+    rng = np.random.default_rng(5)
+    data = np.vstack([rng.standard_normal((60, 2)), [[40.0, -40.0]]])
+    best, table = model_search(data, [1, 2], ("VVV",), d_q=1, d_r=1, seed=0)
+    statuses = {cell.k: cell.status for cell in table}
+    assert statuses[1] == "ok"
+    assert statuses[2].startswith("failed:") and "component collapsed" in statuses[2]
     assert best.n_components == 1
 
 
