@@ -237,6 +237,8 @@ def cmd_erc(args) -> int:
         raise UsageError("give exactly one of --threshold or --fmr")
     if args.fmr is not None:
         _check_fmr(args.fmr)
+    if not 0 < args.grid_step <= 1:  # also rejects nan
+        raise UsageError("--grid-step must lie in (0, 1]")
     scores, is_match, predicted = dataio.read_columns(
         _read_text(args.attempts),
         ("score", "label", "predicted_error"),

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .dataio import MATCH, RecordSet
 from .errors import ValidationError
@@ -55,6 +54,10 @@ class BetaPosterior:
     def quantile(self, p: float) -> float:
         if not 0.0 <= p <= 1.0:
             raise ValidationError("quantile probability must lie in [0, 1]")
+        # imported here: scipy.special takes longer to import than numpy, and
+        # most commands never reach this line
+        from scipy import special
+
         return float(special.betaincinv(self.a, self.b, p))
 
 

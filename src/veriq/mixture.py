@@ -40,6 +40,9 @@ SHAPE_RTOL = 1e-12
 SQUAREM_STEP_FACTOR = 4.0
 # a loaded covariance may be asymmetric by this much of its largest entry
 SYMMETRY_RTOL = 1e-12
+# a loaded stack may miss its family by this much (see model_from_dict); a
+# ridged fit misses by about 1e-8
+FAMILY_RTOL = 1e-6
 _TINY = 1e-300
 
 
@@ -172,21 +175,66 @@ def _ridge_one(cov: np.ndarray, context: str, counters: dict) -> np.ndarray:
     raise NumericError(f"{context}: covariance cannot be made positive definite")
 
 
-def _ensure_spd(covs: np.ndarray, context: str, counters: dict) -> np.ndarray:
+def _ensure_spd(
+    covs: np.ndarray, context: str, counters: dict, cholesky=np.linalg.cholesky
+) -> np.ndarray:
     """Return SPD versions of a (K, d, d) stack, adding a logged ridge when needed.
 
-    Only when the stacked Cholesky fails is each component ("{context} {j}")
-    checked and ridged on its own.
+    The symmetrized stack is factored by cholesky (an EM run's
+    _Workspace.cholesky keeps the factor for the next E-step). Only when
+    that fails is each component ("{context} {j}") checked and ridged on
+    its own.
     """
     covs = 0.5 * (covs + np.swapaxes(covs, 1, 2))
     try:
-        np.linalg.cholesky(covs)
+        cholesky(covs)
         return covs
     except np.linalg.LinAlgError:
         pass
     return np.array(
         [_ridge_one(cov, f"{context} {j}", counters) for j, cov in enumerate(covs)]
     )
+
+
+def family_violation(code: str, covs) -> float:
+    """Worst absolute deviation of a (K, d, d) stack from its family's structure.
+
+    0 means the structure holds exactly. Every stack is checked for symmetry
+    and the diagonal families for zero off-diagonal entries; then each family
+    compares what its letters share or fix: the diagonal entries (EII, VII,
+    EEI), the unit-determinant diagonal shapes (VEI) or the diagonal volumes
+    (EVI), the whole matrices (EEE), the eigenvalues (EEV) or the
+    unit-determinant eigenvalue shapes (VEV). The shapes are unitless; the
+    other deviations are in the covariances' units.
+    """
+    covs = np.asarray(covs, dtype=float)
+    dev = float(np.max(np.abs(covs - np.swapaxes(covs, 1, 2))))
+    diags = np.diagonal(covs, axis1=1, axis2=2)
+    if code in ("EII", "VII", "EEI", "VEI", "EVI", "VVI"):
+        off = covs - diags[:, :, None] * np.eye(covs.shape[1])
+        dev = max(dev, float(np.max(np.abs(off))))
+    if code in ("VEV", "EEV"):
+        eigs = np.sort(np.linalg.eigvalsh(covs), axis=1)
+    if code == "EII":
+        spread = diags - diags[0, 0]
+    elif code == "VII":
+        spread = diags - diags[:, :1]
+    elif code == "EEI":
+        spread = diags - diags[0]
+    elif code in ("VEI", "VEV"):
+        values = diags if code == "VEI" else eigs
+        shapes = values / np.exp(np.mean(np.log(values), axis=1, keepdims=True))
+        spread = shapes - shapes[0]
+    elif code == "EVI":
+        volumes = np.exp(np.mean(np.log(diags), axis=1))
+        spread = volumes - volumes[0]
+    elif code == "EEE":
+        spread = covs - covs[0]
+    elif code == "EEV":
+        spread = eigs - eigs[0]
+    else:  # VVI, VVV
+        return dev
+    return max(dev, float(np.max(np.abs(spread))))
 
 
 def _shape_normalize(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -278,11 +326,14 @@ def _project_covariances(
 
 
 def _kmeans_pp_centers(data: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ centers; each row's squared distance to its nearest center
+    is updated with the newest center only."""
     n = data.shape[0]
     centers = [data[int(rng.integers(n))]]
+    dist2 = np.full(n, np.inf)
     for _ in range(1, k):
-        deltas = data[:, None, :] - np.asarray(centers)[None, :, :]
-        dist2 = np.min(np.sum(deltas * deltas, axis=2), axis=1)
+        delta = data - centers[-1]
+        dist2 = np.minimum(dist2, np.sum(delta * delta, axis=1))
         total = float(dist2.sum())
         if total <= 0.0:
             centers.append(data[int(rng.integers(n))])
@@ -307,22 +358,58 @@ def _initial_responsibilities(
     return resp
 
 
+class _Workspace:
+    """The scratch arrays of one EM run with K components on an (N, d) matrix.
+
+    Each step writes its (K, d, N) temporaries into the same two buffers
+    instead of allocating them. Means and covariance stacks are never
+    changed in place, so the latest ones are known by identity: the E-step
+    that follows an M-step reuses its centered data, and the one that
+    follows an M-step or an admissibility check reuses its Cholesky factor.
+    No array a step returns is a view of a buffer.
+    """
+
+    def __init__(self, data: np.ndarray, k: int):
+        self._data_t = np.ascontiguousarray(data.T)
+        d, n = self._data_t.shape
+        self._centered = (None, np.empty((k, d, n)))
+        spare = np.empty(k * d * n)
+        # point-major weighted differences make BLAS sum each scatter in the
+        # order of a per-component loop; another order flips EM's float-level ties
+        self.weighted = spare.reshape(k, n, d).transpose(0, 2, 1)
+        self.whitened = spare.reshape(k, d, n)
+        self._factored = (None, None)
+
+    def centered(self, means: np.ndarray) -> np.ndarray:
+        """The (K, d, N) differences data - means, computed once for the latest means."""
+        if self._centered[0] is not means:
+            out = self._centered[1]
+            self._centered = (means, np.subtract(self._data_t, means[:, :, None], out=out))
+        return self._centered[1]
+
+    def cholesky(self, covs: np.ndarray) -> np.ndarray:
+        """np.linalg.cholesky(covs), computed once for the latest stack."""
+        if self._factored[0] is not covs:
+            self._factored = (covs, np.linalg.cholesky(covs))
+        return self._factored[1]
+
+
 def _m_step(
     data: np.ndarray,
     resp: np.ndarray,
     code: str,
     prev_cov: np.ndarray | None,
     counters: dict,
+    workspace: _Workspace | None = None,
 ):
-    n, d = data.shape
+    if workspace is None:
+        workspace = _Workspace(data, len(resp))
+    n = data.shape[0]
     nk = resp.sum(axis=1)
     weights = nk / n
     means = (resp @ data) / np.maximum(nk, _TINY)[:, None]
-    diff = np.ascontiguousarray(data.T)[None, :, :] - means[:, :, None]
-    # point-major weighted differences make BLAS sum each scatter in the order
-    # of a per-component loop; another order flips EM's float-level ties
-    weighted = np.empty((len(nk), n, d)).transpose(0, 2, 1)
-    np.multiply(resp[:, None, :], diff, out=weighted)
+    diff = workspace.centered(means)
+    weighted = np.multiply(resp[:, None, :], diff, out=workspace.weighted)
     scatter = weighted @ np.swapaxes(diff, 1, 2)
     try:
         covs = _project_covariances(code, scatter, nk, prev_cov)
@@ -330,26 +417,34 @@ def _m_step(
         raise NumericError(f"{code} covariance projection failed: {exc}") from exc
     if not np.all(np.isfinite(covs)):
         raise NumericError(f"{code} covariance projection is not finite")
-    return weights, means, _ensure_spd(covs, "component", counters)
+    return weights, means, _ensure_spd(covs, "component", counters, workspace.cholesky)
 
 
 def _log_component_densities(
-    data: np.ndarray, weights: np.ndarray, means: np.ndarray, covs: np.ndarray
+    data: np.ndarray,
+    weights: np.ndarray,
+    means: np.ndarray,
+    covs: np.ndarray,
+    workspace: _Workspace | None = None,
 ) -> np.ndarray:
     """(K, N) log(weight_k * N(x_n | mean_k, cov_k)) from one stacked Cholesky."""
-    data_t = np.ascontiguousarray(np.atleast_2d(data).T)
+    if workspace is None:
+        workspace = _Workspace(np.atleast_2d(data), len(weights))
     d = means.shape[1]
-    chol = np.linalg.cholesky(covs)
-    whitened = np.linalg.inv(chol) @ (data_t[None, :, :] - means[:, :, None])
+    chol = workspace.cholesky(covs)
+    whitened = np.matmul(np.linalg.inv(chol), workspace.centered(means),
+                         out=workspace.whitened)
     quad = np.einsum("kdn,kdn->kn", whitened, whitened)
     logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
     log_dens = -0.5 * (d * math.log(2.0 * math.pi) + logdet[:, None] + quad)
     return log_dens + np.log(np.maximum(weights, _TINY))[:, None]
 
 
-def _e_step(data: np.ndarray, params) -> tuple[float, np.ndarray]:
+def _e_step(
+    data: np.ndarray, params, workspace: _Workspace | None = None
+) -> tuple[float, np.ndarray]:
     """Log-likelihood and (K, N) responsibilities at (weights, means, covs)."""
-    log_joint = _log_component_densities(data, *params)
+    log_joint = _log_component_densities(data, *params, workspace)
     log_norm = _logsumexp(log_joint, axis=0)
     return float(np.sum(log_norm)), np.exp(log_joint - log_norm)
 
@@ -381,25 +476,27 @@ def _extrapolate(p0, p1, p2, step_max: float):
                        for a, dr, dv in zip(p0, r, v))
 
 
-def _admissible(point) -> bool:
-    """Finite, all weights positive, every covariance SPD."""
+def _admissible(point, cholesky=np.linalg.cholesky) -> bool:
+    """Finite, all weights positive, every covariance SPD (factored by cholesky)."""
     weights, _, covs = point
     if not (all(np.all(np.isfinite(a)) for a in point) and np.all(weights > 0.0)):
         return False
     try:
-        np.linalg.cholesky(covs)
+        cholesky(covs)
     except np.linalg.LinAlgError:
         return False
     return True
 
 
-def _squarem_step(data, code, point, evaluate, counters):
+def _squarem_step(data, code, point, evaluate, counters, workspace=None):
     """M(E(point)) for SQUAREM's extrapolated point, with its log-likelihood
     and responsibilities; None when the point is no mixture (see
     _admissible), its E-step is not finite or collapses a component, or
     its M-step fails.
     """
-    if not _admissible(point):
+    if workspace is None:
+        workspace = _Workspace(data, len(point[0]))
+    if not _admissible(point, workspace.cholesky):
         return None
     counters["extrapolations"] += 1
     with np.errstate(over="ignore", invalid="ignore"):  # a near-singular point
@@ -407,7 +504,7 @@ def _squarem_step(data, code, point, evaluate, counters):
     if not math.isfinite(loglik) or _collapsed(resp, data.shape[1]):
         return None
     try:
-        params = _m_step(data, resp, code, point[2], counters)
+        params = _m_step(data, resp, code, point[2], counters, workspace)
     except NumericError:
         return None
     return (params, *evaluate(params))
@@ -438,16 +535,21 @@ def _em_run(data, k, code, seed, attempt, tol, max_iter):
     ("extrapolations") and per rejected iterate ("rejected"). A float-level
     dip at convergence keeps the previous iterate. A collapsed component or
     a failed projection of an accepted iterate raises NumericError.
+    Every step works in one _Workspace.
     """
     counters = {"e_steps": 0, "extrapolations": 0, "rejected": 0}
     rng = np.random.default_rng([int(seed), attempt])
     d = data.shape[1]
+    resp = _initial_responsibilities(data, k, rng)
+    # allocated after the seeding, whose temporaries are as large, so that the
+    # two are never alive at once
+    workspace = _Workspace(data, k)
 
     def evaluate(params):
         counters["e_steps"] += 1
-        return _e_step(data, params)
+        return _e_step(data, params, workspace)
 
-    params = _m_step(data, _initial_responsibilities(data, k, rng), code, None, counters)
+    params = _m_step(data, resp, code, None, counters, workspace)
     loglik, resp = evaluate(params)
     trace: list[float] = []
     anchor = None  # the cycle's p0 while params is its p1
@@ -464,7 +566,7 @@ def _em_run(data, k, code, seed, attempt, tol, max_iter):
         ):
             return params, trace, counters
         previous = params
-        mapped = _m_step(data, resp, code, params[2], counters)
+        mapped = _m_step(data, resp, code, params[2], counters, workspace)
         if anchor is None:
             anchor, params = params, mapped
             loglik, resp = evaluate(params)
@@ -476,7 +578,7 @@ def _em_run(data, k, code, seed, attempt, tol, max_iter):
             if at_bound:
                 step_max *= SQUAREM_STEP_FACTOR
             if step > 1.0:
-                found = _squarem_step(data, code, point, evaluate, counters)
+                found = _squarem_step(data, code, point, evaluate, counters, workspace)
             if found is not None and (_collapsed(found[2], d) or not found[1] >= loglik):
                 counters["rejected"] += 1
                 if at_bound:
@@ -831,7 +933,8 @@ def model_from_dict(doc: dict) -> tuple[MixtureModel, OperatingPoint | None]:
     """Load a model document; a missing or malformed field is a ValidationError.
 
     Each covariance must be symmetric to SYMMETRY_RTOL of its largest entry
-    and have a Cholesky factor. Family conformance is not checked: a ridged
+    and have a Cholesky factor, and the stack, scaled to a largest entry of
+    1, must obey its family to FAMILY_RTOL (see family_violation): a ridged
     fit can miss its family by a relative 1e-8.
     """
     if not isinstance(doc, dict):
@@ -856,6 +959,10 @@ def model_from_dict(doc: dict) -> tuple[MixtureModel, OperatingPoint | None]:
             np.linalg.cholesky(cov)
         except np.linalg.LinAlgError:
             raise ValidationError(f"covariance {j} is not positive definite") from None
+    code = model.parametrization
+    unit = model.covariances / np.max(np.abs(model.covariances))
+    if family_violation(code, unit) > FAMILY_RTOL:
+        raise ValidationError(f"covariance stack does not match family {code}")
     point = None
     if doc.get("operating_point") is not None:
         raw = doc["operating_point"]

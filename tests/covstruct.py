@@ -1,49 +1,15 @@
 """Structural checks for the ten covariance families, shared across tests.
 
-family_violation returns the worst absolute deviation of a covariance
-stack from its family's structure; 0 means the constraint holds exactly.
+family_violation is the library's: the worst absolute deviation of a
+covariance stack from its family's structure; 0 means the constraint holds
+exactly.
 """
 
 import numpy as np
 
-_DIAGONAL_FAMILIES = ("EII", "VII", "EEI", "VEI", "EVI", "VVI")
+from veriq.mixture import family_violation
 
-
-def _diag_stack(covs):
-    return np.array([np.diag(c) for c in covs])
-
-
-def family_violation(code: str, covs) -> float:
-    covs = np.asarray(covs, dtype=float)
-    dev = float(np.max(np.abs(covs - np.transpose(covs, (0, 2, 1)))))
-
-    if code in _DIAGONAL_FAMILIES:
-        off = covs - np.array([np.diag(np.diag(c)) for c in covs])
-        dev = max(dev, float(np.max(np.abs(off))))
-    diags = _diag_stack(covs)
-
-    if code == "EII":
-        dev = max(dev, float(np.max(np.abs(diags - diags[0, 0]))))
-    elif code == "VII":
-        dev = max(dev, float(np.max(np.abs(diags - diags[:, :1]))))
-    elif code == "EEI":
-        dev = max(dev, float(np.max(np.abs(diags - diags[0]))))
-    elif code == "VEI":
-        shapes = diags / np.exp(np.mean(np.log(diags), axis=1, keepdims=True))
-        dev = max(dev, float(np.max(np.abs(shapes - shapes[0]))))
-    elif code == "EVI":
-        volumes = np.exp(np.mean(np.log(diags), axis=1))
-        dev = max(dev, float(np.max(np.abs(volumes - volumes[0]))))
-    elif code == "EEE":
-        dev = max(dev, float(np.max(np.abs(covs - covs[0]))))
-    elif code == "EEV":
-        eigs = np.sort(np.linalg.eigvalsh(covs), axis=1)
-        dev = max(dev, float(np.max(np.abs(eigs - eigs[0]))))
-    elif code == "VEV":
-        eigs = np.sort(np.linalg.eigvalsh(covs), axis=1)
-        shapes = eigs / np.exp(np.mean(np.log(eigs), axis=1, keepdims=True))
-        dev = max(dev, float(np.max(np.abs(shapes - shapes[0]))))
-    return dev
+__all__ = ["assert_spd", "family_violation"]
 
 
 def assert_spd(covs) -> None:

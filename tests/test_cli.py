@@ -5,6 +5,8 @@ import io
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -26,6 +28,17 @@ def run(argv, capsys):
 def stdout_map(out: str) -> dict[str, str]:
     pairs = [line.split("=", 1) for line in out.splitlines() if "=" in line]
     return dict(pairs)
+
+
+def test_importing_the_cli_does_not_import_scipy():
+    # every veriq call is a fresh process; scipy.special costs more to import
+    # than numpy, and only the Beta quantile needs it
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    subprocess.run(
+        [sys.executable, "-c", "import veriq.cli, sys; assert 'scipy' not in sys.modules"],
+        env=env, check=True, timeout=60,
+    )
 
 
 def synth(tmp_path, capsys, name="records.csv", extra=()):
@@ -492,6 +505,23 @@ def test_predict_rejects_a_covariance_that_is_not_symmetric_positive_definite(
     assert not dest.exists()
 
 
+@pytest.mark.parametrize("variances, code", [([0.5] * 4, 0), ([0.5, 0.7, 0.5, 0.5], 1)])
+def test_predict_checks_the_declared_family(fitted, tmp_path, capsys, variances, code):
+    _, out, _ = fitted
+    doc = json.loads((out / "model.json").read_text())
+    doc["parametrization"] = "EII"
+    doc["covariances"] = [np.diag(variances).tolist() for _ in doc["covariances"]]
+    model_path = tmp_path / "eii.json"
+    model_path.write_text(json.dumps(doc))
+    qpath = tmp_path / "queries.csv"
+    qpath.write_text("q1,q2\n0.5,0.5\n")
+    dest = tmp_path / "pred.csv"
+    result = run(["predict", str(model_path), str(qpath), "--out", str(dest)], capsys)
+    if code:
+        assert result[::2] == (1, "validation error: covariance stack does not match family EII\n")
+    assert result[0] == code and dest.exists() == (code == 0)
+
+
 def test_predict_exits_3_when_conditioning_is_not_finite(fitted, tmp_path, capsys):
     # subnormal covariances overflow the whitened queries
     _, out, _ = fitted
@@ -593,7 +623,9 @@ def test_erc_requires_exactly_one_threshold_source(tmp_path, capsys):
 @pytest.mark.parametrize(
     "flags, message",
     [([], "exactly one"), (["--threshold", "1.0", "--fmr", "0.1"], "exactly one"),
-     (["--fmr", "0"], "--fmr"), (["--fmr", "1.5"], "--fmr"), (["--fmr", "nan"], "--fmr")],
+     (["--fmr", "0"], "--fmr"), (["--fmr", "1.5"], "--fmr"), (["--fmr", "nan"], "--fmr")]
+    + [(["--fmr", "0.05", "--grid-step", step], "--grid-step")
+       for step in ("0", "-0.5", "1.5", "nan")],
 )
 def test_erc_rejects_bad_flags_before_reading(tmp_path, capsys, flags, message):
     # the attempts file does not exist: a usage error proves nothing was read

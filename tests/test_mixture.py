@@ -1,10 +1,12 @@
 """Mixture fitting, family-constrained M-steps, conditioning, serialization."""
 
 import concurrent.futures
+import contextlib
 import logging
 import math
 import multiprocessing
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -639,6 +641,112 @@ def test_a_cell_failing_in_a_helper_is_recorded(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+# ------------------------------------------------- EM workspace and seeding
+
+
+@st.composite
+def _em_cases(draw):
+    """An EM run's inputs: separated or overlapping blobs, blobs with tied
+    rows and values, or data collapsing onto one point but for a few rows."""
+    k = draw(st.integers(1, 6))
+    d = draw(st.integers(2, 5))
+    n = draw(st.integers(8, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spread = draw(st.sampled_from([1.0, 4.0]))
+    data = rng.normal(scale=spread, size=(k, d))[rng.integers(k, size=n)]
+    data += rng.normal(size=(n, d))
+    layout = draw(st.sampled_from(["blobs", "ties", "collapsing"]))
+    if layout == "ties":
+        data = np.round(data[rng.integers(max(2, n // 3), size=n)])
+    elif layout == "collapsing":
+        data[: n - int(rng.integers(1, d + 2))] = data[0]
+    code = draw(st.sampled_from(PARAMETRIZATIONS))
+    return data, k, code, draw(st.integers(0, 2**16)), draw(st.integers(1, 60) | st.just(500))
+
+
+def _em_run_outcome(case, fresh=False):
+    """_em_run's result or NumericError message; fresh calls every step
+    without the run's workspace, so each allocates and factors anew."""
+    data, k, code, seed, max_iter = case
+    with contextlib.ExitStack() as stack:
+        if fresh:
+            for name, n_args in (("_m_step", 5), ("_e_step", 2), ("_squarem_step", 5)):
+                step = getattr(mixture, name)
+                stack.enter_context(mock.patch.object(
+                    mixture, name, lambda *args, step=step, n_args=n_args: step(*args[:n_args])
+                ))
+        try:
+            return mixture._em_run(data, k, code, seed, 0, mixture.DEFAULT_TOL, max_iter)
+        except NumericError as exc:
+            return str(exc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_em_cases())
+@example(case=(_overlapping_data(), 2, "VEV", 2, 500))  # extrapolates
+@example(case=(_flat_cluster_data(), 3, "VVV", 3, 500))  # ridges
+def test_em_run_in_one_workspace_matches_fresh_steps(case):
+    got, ref = _em_run_outcome(case), _em_run_outcome(case, fresh=True)
+    if isinstance(ref, str):
+        assert got == ref
+        return
+    (params, trace, counters), (ref_params, ref_trace, ref_counters) = got, ref
+    for a, b in zip(params, ref_params):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert trace == ref_trace and counters == ref_counters
+
+
+@settings(max_examples=20, deadline=None)
+@given(_em_cases())
+def test_em_run_returns_no_view_of_its_workspace(case):
+    spaces = []
+
+    class Recorded(mixture._Workspace):
+        def __init__(self, *args):
+            super().__init__(*args)
+            spaces.append(self)
+
+    with mock.patch.object(mixture, "_Workspace", Recorded):
+        outcome = _em_run_outcome(case)
+        if isinstance(outcome, str):
+            return
+        params = outcome[0]
+        data = case[0]
+        [workspace] = spaces
+        log_joint = mixture._log_component_densities(data, *params, workspace)
+        _, resp = mixture._e_step(data, params, workspace)
+        _, _, covs = mixture._m_step(data, resp, case[2], params[2], {}, workspace)
+    buffers = (workspace._data_t, workspace._centered[1], workspace.whitened)
+    for array in (*params, log_joint, resp, covs):
+        assert not any(np.shares_memory(array, buffer) for buffer in buffers)
+
+
+def _reference_kmeans_pp_centers(data, k, rng):
+    """k-means++ measuring every row against all centers chosen so far."""
+    n = data.shape[0]
+    centers = [data[int(rng.integers(n))]]
+    for _ in range(1, k):
+        deltas = data[:, None, :] - np.asarray(centers)[None, :, :]
+        dist2 = np.min(np.sum(deltas * deltas, axis=2), axis=1)
+        total = float(dist2.sum())
+        if total <= 0.0:
+            centers.append(data[int(rng.integers(n))])
+        else:
+            centers.append(data[int(rng.choice(n, p=dist2 / total))])
+    return np.asarray(centers)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_em_cases(), st.integers(1, 9))
+def test_kmeans_pp_matches_the_all_centers_reference(case, k):
+    data, _, _, seed, _ = case
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = mixture._kmeans_pp_centers(data, k, rng)
+    ref = _reference_kmeans_pp_centers(data, k, ref_rng)
+    assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+    assert rng.integers(2**62) == ref_rng.integers(2**62)
+
+
 # ------------------------------------------------------------ conditioning
 
 
@@ -846,6 +954,26 @@ def test_model_covariances_must_be_symmetric_positive_definite(cov, message):
     else:
         with pytest.raises(ValidationError, match=message):
             model_from_dict(doc)
+
+
+@pytest.mark.parametrize("code", PARAMETRIZATIONS)
+def test_fitted_families_load_and_broken_ones_do_not(code):
+    # the flat cluster ridges the VVI and VVV fits, which miss by about 1e-8
+    with contextlib.suppress(NumericError):  # a singular shared shape
+        model_from_dict(model_to_dict(em_fit(_flat_cluster_data(), 3, code, d_q=2, d_r=1,
+                                             seed=3)))
+    doc = model_to_dict(em_fit(_blob_data(8), 3, code, d_q=2, d_r=1, seed=3))
+    model_from_dict(doc)
+    if code == "VVV":
+        return
+    # an off-diagonal entry breaks VVI; scaling a variance, every other family
+    if code == "VVI":
+        (c00, _), (_, c11) = np.asarray(doc["covariances"][0])[:2, :2]
+        doc["covariances"][0][0][1] = doc["covariances"][0][1][0] = 0.1 * math.sqrt(c00 * c11)
+    else:
+        doc["covariances"][0][0][0] *= 1.01
+    with pytest.raises(ValidationError, match=f"does not match family {code}$"):
+        model_from_dict(doc)
 
 
 def test_model_weight_validation():
