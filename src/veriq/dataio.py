@@ -9,13 +9,12 @@ are similarities: higher means more similar. Floats are written with
 
 from __future__ import annotations
 
-import io
 import itertools
 import math
 import os
 import tempfile
 from collections.abc import Iterator
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -59,7 +58,6 @@ class RecordSet:
     records: tuple[VerificationRecord, ...]
     quality_dim: int
     ref_quality: bool = False
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.quality_dim <= 0:
@@ -93,20 +91,6 @@ def _quality_header(quality_dim: int, ref_quality: bool) -> list[str]:
         m = quality_dim // 2
         return [f"q{i}" for i in range(1, m + 1)] + [f"g{i}" for i in range(1, m + 1)]
     return [f"q{i}" for i in range(1, quality_dim + 1)]
-
-
-def _as_text_or_lines(source) -> str | list[str]:
-    """CSV text as one string, or, for a line iterable, its list of lines."""
-    if isinstance(source, str):
-        return source
-    if isinstance(source, io.TextIOBase) or hasattr(source, "read"):
-        return source.read()
-    return [str(line).rstrip("\r\n") for line in source]
-
-
-def _as_lines(source) -> list[str]:
-    data = _as_text_or_lines(source)
-    return data.splitlines() if isinstance(data, str) else data
 
 
 def _parse_header(line: str):
@@ -156,16 +140,11 @@ _LABEL_SET = frozenset(LABELS)
 
 # The bulk path reads text in chunks of about this many characters, each cut
 # right after a "\n", so str.splitlines() sees the same lines as on the whole
-# text; a list of lines is read this many lines at a time.
+# text.
 _CHUNK_CHARS = 1 << 18
-_CHUNK_LINES = 1 << 13
 
 
-def _line_chunks(data) -> Iterator[list[str]]:
-    if not isinstance(data, str):
-        for start in range(0, len(data), _CHUNK_LINES):
-            yield data[start:start + _CHUNK_LINES]
-        return
+def _line_chunks(data: str) -> Iterator[list[str]]:
     start = 0
     while start < len(data):
         end = data.find("\n", start + _CHUNK_CHARS) + 1 or len(data)
@@ -178,16 +157,15 @@ def _check_header(first_line: str, header: list) -> None:
         raise RecordsError([f"line 1: expected header {','.join(header)}"])
 
 
-def _read_rows(source, header, kinds) -> Iterator[list]:
-    """Yield the converted rows of a CSV, one line at a time.
+def _read_rows(lines: list[str], header, kinds) -> Iterator[list]:
+    """Yield the converted rows of a CSV's lines, one line at a time.
 
-    The per-line reader behind read_columns, with the same arguments and
-    checks. Every bad line gets one 1-based ``line N: ...`` message, and
-    after the last good row all of them are raised together, in line order,
-    as one RecordsError. Rows are yielded, not listed, so a caller that
-    builds its own objects holds each row only once.
+    The per-line reader behind read_columns, with its checks. Every bad line
+    gets one 1-based ``line N: ...`` message, and after the last good row all
+    of them are raised together, in line order, as one RecordsError. Rows are
+    yielded, not listed, so a caller that builds its own objects holds each
+    row only once.
     """
-    lines = _as_lines(source)
     header = list(header)
     _check_header(lines[0] if lines else "", header)
     converters = [_CONVERTERS[kind] for kind in kinds]
@@ -214,7 +192,7 @@ def _read_rows(source, header, kinds) -> Iterator[list]:
         raise RecordsError(problems)
 
 
-def _bulk_columns(data, header: list, kinds) -> list | None:
+def _bulk_columns(data: str, header: list, kinds) -> list | None:
     """read_columns for an input without a bad line; None at the first fault.
 
     Each chunk's non-blank lines are joined and split on "," once, so
@@ -224,7 +202,7 @@ def _bulk_columns(data, header: list, kinds) -> list | None:
     count and filled chunk by chunk, so no whole-file token list exists.
     """
     n_cols = len(kinds)
-    capacity = data.count("\n") + 1 if isinstance(data, str) else len(data)
+    capacity = data.count("\n") + 1
     columns = [
         [] if kind == TEXT else np.empty(capacity, float if kind == NUMBER else bool)
         for kind in kinds
@@ -276,14 +254,13 @@ def _columns_of_rows(rows: list, kinds) -> list:
     ]
 
 
-def read_columns(source, header, kinds) -> list:
-    """The columns of a CSV whose first line is exactly ``header``.
+def read_columns(text: str, header, kinds) -> list:
+    """The columns of CSV text whose first line is exactly ``header``.
 
-    ``source`` is CSV text, a text stream or an iterable of lines. ``kinds``
-    gives each column's cell kind and what it becomes: NUMBER a float64
-    array of ``float()`` values (nan and +-inf are rejected), LABEL a bool
-    array, True for ``match`` (``nonmatch`` is the only other label), TEXT a
-    list of stripped strings. Blank lines are skipped; lines end where
+    ``kinds`` gives each column's cell kind and what it becomes: NUMBER a
+    float64 array of ``float()`` values (nan and +-inf are rejected), LABEL a
+    bool array, True for ``match`` (``nonmatch`` is the only other label),
+    TEXT a list of stripped strings. Blank lines are skipped; lines end where
     ``str.splitlines`` ends them.
 
     The whole input is first converted in bulk. At the first bad cell or
@@ -291,21 +268,20 @@ def read_columns(source, header, kinds) -> list:
     one 1-based ``line N: ...`` message and raises all of them together, in
     line order, as one RecordsError.
     """
-    data = _as_text_or_lines(source)
     header = list(header)
-    columns = _bulk_columns(data, header, kinds)
+    columns = _bulk_columns(text, header, kinds)
     if columns is None:
-        columns = _columns_of_rows(list(_read_rows(data, header, kinds)), kinds)
+        columns = _columns_of_rows(list(_read_rows(text.splitlines(), header, kinds)), kinds)
     return columns
 
 
-def parse_records(source, meta: dict | None = None) -> RecordSet:
-    """Parse CSV text (string, stream, or line iterable) into a RecordSet.
+def parse_records(text: str) -> RecordSet:
+    """Parse CSV text into a RecordSet.
 
     All malformed lines are gathered and raised together as a RecordsError
     whose messages carry 1-based line numbers.
     """
-    lines = _as_lines(source)
+    lines = text.splitlines()
     quality_dim, ref_quality = _parse_header(lines[0] if lines else "")
     header = list(_FIXED_COLUMNS) + _quality_header(quality_dim, ref_quality)
     kinds = (TEXT, TEXT, NUMBER, LABEL) + (NUMBER,) * quality_dim
@@ -313,7 +289,7 @@ def parse_records(source, meta: dict | None = None) -> RecordSet:
         VerificationRecord(probe_id, ref_id, score, label, tuple(quality))
         for probe_id, ref_id, score, label, *quality in _read_rows(lines, header, kinds)
     )
-    return RecordSet(records, quality_dim, ref_quality, meta or {})
+    return RecordSet(records, quality_dim, ref_quality)
 
 
 def _format_float(x: float) -> str:
@@ -406,14 +382,13 @@ def write_csv(path_or_stream, header: list[str], rows) -> None:
     _write_text(path_or_stream, "\n".join(lines) + "\n")
 
 
-def parse_quality_csv(source) -> np.ndarray:
-    """Parse a CSV with header q1..qM into an (N, M) float matrix."""
-    data = _as_text_or_lines(source)
+def parse_quality_csv(text: str) -> np.ndarray:
+    """Parse CSV text with header q1..qM into an (N, M) float matrix."""
     # the first line ends at or before the first "\n"
-    first = data.partition("\n")[0].splitlines() if isinstance(data, str) else data
+    first = text.partition("\n")[0].splitlines()
     n_axes = first[0].count(",") + 1 if first else 1
     return np.column_stack(
-        read_columns(data, _quality_header(n_axes, False), (NUMBER,) * n_axes)
+        read_columns(text, _quality_header(n_axes, False), (NUMBER,) * n_axes)
     )
 
 
@@ -528,4 +503,4 @@ def synthesize_dataset(config: SynthConfig) -> RecordSet:
                     )
                 )
                 counter += 1
-    return RecordSet(tuple(records), dim, False, {"source": "synthetic"})
+    return RecordSet(tuple(records), dim)

@@ -20,7 +20,7 @@ from .errormodel import OperatingPoint
 from .errors import NumericError, ValidationError
 
 ERC_GRID_STEP = 1.0 / 200.0
-# cells per sort in _cells_hter_auc: at 100 scores a cell its arrays stay
+# cells per _roc_cells sort in a sweep: at 100 scores a cell its arrays stay
 # under 1 MiB (128 cells raised a 1,089-cell sweep's peak RSS by ~2 MiB)
 SWEEP_BLOCK_CELLS = 32
 
@@ -65,18 +65,6 @@ def _as_scores(values, name: str) -> np.ndarray:
     return arr
 
 
-def _far_frr_at(match, nonmatch, thresholds) -> tuple[np.ndarray, np.ndarray]:
-    """FAR and FRR at every threshold from one sort per class.
-
-    searchsorted(..., "left") counts the scores strictly below each
-    threshold, which keeps the >= accept boundary (Fawcett 2006, Alg. 1).
-    """
-    match = np.sort(match)
-    nonmatch = np.sort(nonmatch)
-    accepted = nonmatch.size - np.searchsorted(nonmatch, thresholds, "left")
-    return accepted / nonmatch.size, np.searchsorted(match, thresholds, "left") / match.size
-
-
 def far_frr(match_scores, nonmatch_scores, threshold: float) -> tuple[float, float]:
     """Empirical false-accept and false-reject rates at a threshold."""
     match = _as_scores(match_scores, "match")
@@ -107,35 +95,10 @@ def threshold_for_fmr(nonmatch_scores, target_fmr: float):
     return OperatingPoint(threshold, f"FMR<={target_fmr:g}"), achieved
 
 
-def candidate_thresholds(match_scores, nonmatch_scores) -> np.ndarray:
-    """Midpoints of adjacent pooled unique scores, plus the two infinities."""
-    pooled = np.unique(
-        np.concatenate(
-            [np.asarray(match_scores, float).ravel(),
-             np.asarray(nonmatch_scores, float).ravel()]
-        )
-    )
-    # halving first cannot overflow, and is exact above the subnormal range
-    mids = pooled[:-1] / 2.0 + pooled[1:] / 2.0
-    return np.concatenate([[-math.inf], mids, [math.inf]])
-
-
-def roc(match_scores, nonmatch_scores, thresholds=None) -> RocCurve:
-    """FAR and FRR at each threshold, points sorted by FAR."""
-    match = _as_scores(match_scores, "match")
-    nonmatch = _as_scores(nonmatch_scores, "nonmatch")
-    if thresholds is None:
-        thresholds = candidate_thresholds(match, nonmatch)
-    else:
-        thresholds = np.asarray(thresholds, dtype=float).reshape(-1)
-        if thresholds.size == 0:
-            raise ValidationError("need at least one threshold")
-        if np.any(np.isnan(thresholds)):
-            raise ValidationError("thresholds must not be NaN")
-    far, frr = _far_frr_at(match, nonmatch, thresholds)
-    # descending thresholds give FAR ascending; stable for ties
-    order = np.argsort(-thresholds, kind="stable")
-    return RocCurve(thresholds[order], far[order], frr[order])
+def roc(match_scores, nonmatch_scores) -> RocCurve:
+    """FAR and FRR at each candidate threshold, points sorted by FAR."""
+    thresholds, far, frr, _, _ = _roc_cells([(match_scores, nonmatch_scores)])
+    return RocCurve(thresholds, far, frr)
 
 
 def auc(curve: RocCurve) -> float:
@@ -148,12 +111,11 @@ def auc(curve: RocCurve) -> float:
 
 
 def select_hter_threshold(match_scores, nonmatch_scores) -> float:
-    """Threshold minimizing (FAR + FRR) / 2 over the candidate set."""
-    match = _as_scores(match_scores, "match")
-    nonmatch = _as_scores(nonmatch_scores, "nonmatch")
-    candidates = candidate_thresholds(match, nonmatch)
-    far, frr = _far_frr_at(match, nonmatch, candidates)
-    return float(candidates[np.argmin((far + frr) / 2.0)])  # first minimum
+    """Smallest threshold minimizing (FAR + FRR) / 2 over the candidate set."""
+    thresholds, far, frr, _, _ = _roc_cells([(match_scores, nonmatch_scores)])
+    value = (far + frr) / 2.0
+    # points run from the largest threshold down, so take the last minimum
+    return float(thresholds[value.size - 1 - np.argmin(value[::-1])])
 
 
 def hter(match_scores, nonmatch_scores, threshold: float) -> float:
@@ -162,71 +124,78 @@ def hter(match_scores, nonmatch_scores, threshold: float) -> float:
     return (far + frr) / 2.0
 
 
-def _cells_hter_auc(tables, threshold: float) -> tuple[list[float], list[float]]:
-    """hter(m, n, threshold) and auc(roc(m, n)) for every (m, n) of tables.
+def _roc_cells(tables, threshold: float | None = None):
+    """ROC points of every (match, nonmatch) pair of tables from one lexsort
+    by (cell, descending score) (Fawcett 2006, Alg. 1, segmented by cell).
 
-    Bit for bit the per-cell values, from one lexsort by (cell, score) per
-    block of SWEEP_BLOCK_CELLS cells (Fawcett 2006, Alg. 1, segmented by
-    cell). A cell's ROC thresholds are the midpoints of its adjacent pooled
-    unique scores; the midpoint above a unique value u lies in [u, next u]
-    and equals u only in the subnormal range, where the scores at u are then
-    not below it. Each AUC is one np.sum over the cell's trapezoid terms in
-    descending-threshold order, as in auc(). The first empty or non-finite
-    class raises what roc() raises.
+    Each cell's points: the midpoint above each pooled unique score from the
+    largest down (+inf above the largest; the score itself only if subnormal,
+    and its scores then count as not below), then -inf. Equal scores pool to
+    the first in match, then nonmatch order, which fixes a zero's sign.
+    Returns thresholds, FAR, FRR, each cell's first point plus the total, and
+    each cell's HTER at threshold, if given. A bad class raises as _as_scores.
+    """
+    arrays = [np.asarray(s, dtype=float).reshape(-1) for pair in tables for s in pair]
+    sizes = np.array([a.size for a in arrays]).reshape(-1, 2)
+    scores = np.concatenate(arrays)
+    if not (sizes.all() and np.isfinite(scores).all()):
+        for m, n in tables:
+            _as_scores(m, "match")
+            _as_scores(n, "nonmatch")
+    n_match, n_nonmatch = sizes.T
+    # arrays alternate match, nonmatch: slot 2j + 1 is cell j's nonmatch
+    slot = np.repeat(np.arange(sizes.size), sizes.ravel())
+    cell, is_match = slot // 2, slot % 2 == 0
+    hters = None
+    if threshold is not None:
+        below = scores < threshold
+        frr = np.bincount(cell[is_match & below], minlength=len(tables)) / n_match
+        far = np.bincount(cell[~is_match & ~below], minlength=len(tables)) / n_nonmatch
+        hters = (far + frr) / 2.0
+
+    order = np.lexsort((-scores, cell))
+    value, cell, is_match = scores[order], cell[order], is_match[order]
+    first = np.r_[True, (cell[1:] != cell[:-1]) | (value[1:] != value[:-1])]
+    group = np.flatnonzero(first)  # start of each pooled unique score
+    g_cell, g_value = cell[group], value[group]
+    # halving first cannot overflow, and is exact above the subnormal range
+    mids = np.r_[math.inf, g_value[1:] / 2.0 + g_value[:-1] / 2.0]
+    upper = np.where(np.r_[True, g_cell[1:] != g_cell[:-1]], math.inf, mids)
+    # the scores below it start at this value, or after it
+    begin = np.where(upper > g_value, group, np.r_[group[1:], value.size])
+    cell_end = np.cumsum(sizes.sum(axis=1))[g_cell]
+    matches_before = np.r_[0, np.cumsum(is_match)]
+    below_match = matches_before[cell_end] - matches_before[begin]
+    below_nonmatch = cell_end - begin - below_match
+
+    # each cell's groups in order, then its -inf point (FAR 1, FRR 0)
+    point_start = np.r_[0, np.cumsum(np.bincount(g_cell, minlength=len(tables)) + 1)]
+    pos = np.arange(g_cell.size) + g_cell
+    thresholds = np.full(point_start[-1], -math.inf)
+    far = np.ones(point_start[-1])
+    frr = np.zeros(point_start[-1])
+    thresholds[pos] = upper
+    far[pos] = (n_nonmatch[g_cell] - below_nonmatch) / n_nonmatch[g_cell]
+    frr[pos] = below_match / n_match[g_cell]
+    return thresholds, far, frr, point_start, hters
+
+
+def _cells_hter_auc(tables, threshold: float) -> tuple[list[float], list[float]]:
+    """hter(m, n, threshold) and auc(roc(m, n)) for every (m, n) of tables,
+    bit for bit, from one _roc_cells call per SWEEP_BLOCK_CELLS cells. Each
+    AUC is one np.sum over the cell's trapezoid terms, as in auc().
     """
     hters: list[float] = []
     aucs: list[float] = []
     for start in range(0, len(tables), SWEEP_BLOCK_CELLS):
         block = tables[start:start + SWEEP_BLOCK_CELLS]
-        arrays = [np.asarray(s, dtype=float).reshape(-1) for pair in block for s in pair]
-        sizes = np.array([a.size for a in arrays]).reshape(-1, 2)
-        scores = np.concatenate(arrays)
-        if not (sizes.all() and np.isfinite(scores).all()):
-            for m, n in block:
-                _as_scores(m, "match")
-                _as_scores(n, "nonmatch")
-        n_match, n_nonmatch = sizes[:, 0], sizes[:, 1]
-        # arrays alternate match, nonmatch: slot 2j + 1 is cell j's nonmatch
-        slot = np.repeat(np.arange(sizes.size), sizes.ravel())
-        cell, is_match = slot // 2, slot % 2 == 0
-
-        below = scores < threshold
-        n_cells = len(block)
-        frr = np.bincount(cell[is_match & below], minlength=n_cells) / n_match
-        far = np.bincount(cell[~is_match & ~below], minlength=n_cells) / n_nonmatch
-        hters.extend(((far + frr) / 2.0).tolist())
-
-        order = np.lexsort((scores, cell))
-        value, cell, is_match = scores[order], cell[order], is_match[order]
-        first = np.r_[True, (cell[1:] != cell[:-1]) | (value[1:] != value[:-1])]
-        group = np.flatnonzero(first)  # start of each pooled unique score
-        g_cell, g_value = cell[group], value[group]
-        g_end = np.r_[group[1:], value.size]
-        # the threshold just above each unique value: +inf above a cell's largest
-        mids = np.r_[g_value[:-1] / 2.0 + g_value[1:] / 2.0, math.inf]
-        upper = np.where(np.r_[g_cell[1:] != g_cell[:-1], True], math.inf, mids)
-        # the scores below it end at the next value, or before this one
-        stop = np.where(upper > g_value, g_end, group)
-        cell_start = np.r_[0, np.cumsum(sizes.sum(axis=1))][g_cell]
-        matches_before = np.r_[0, np.cumsum(is_match)]
-        below_match = matches_before[stop] - matches_before[cell_start]
-        below_nonmatch = stop - cell_start - below_match
-
-        # ROC points by descending threshold: each cell's unique values from
-        # its largest down, then -inf (FAR 1, FRR 0) before the next cell
-        n_groups = np.bincount(g_cell, minlength=n_cells)
-        point_start = np.r_[0, np.cumsum(n_groups + 1)]
-        top = point_start[:-1] + n_groups - 1 + np.r_[0, np.cumsum(n_groups)[:-1]]
-        pos = top[g_cell] - np.arange(g_cell.size)
-        f = np.ones(point_start[-1])
-        frr = np.zeros(point_start[-1])
-        f[pos] = (n_nonmatch[g_cell] - below_nonmatch) / n_nonmatch[g_cell]
-        frr[pos] = below_match / n_match[g_cell]
-        c = 1.0 - frr
-        terms = (f[1:] - f[:-1]) * (c[1:] + c[:-1]) / 2.0
+        _, far, frr, point_start, block_hters = _roc_cells(block, threshold)
+        hters.extend(block_hters.tolist())
+        car = 1.0 - frr
+        terms = (far[1:] - far[:-1]) * (car[1:] + car[:-1]) / 2.0
         aucs.extend(
-            float(np.sum(terms[lo:lo + k]))
-            for lo, k in zip(point_start[:-1].tolist(), n_groups.tolist())
+            float(np.sum(terms[lo:hi - 1]))
+            for lo, hi in zip(point_start[:-1].tolist(), point_start[1:].tolist())
         )
     return hters, aucs
 

@@ -244,6 +244,14 @@ def _shape_normalize(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return safe / volume, volume
 
 
+def _shape_is_singular(vals: np.ndarray) -> bool:
+    """Whether some row of vals is positive on some axes and zero, up to
+    rounding, on others: that shape has no estimate, and splitting it into
+    volume and shape chases rounding noise into overflow."""
+    top = vals.max(axis=-1)
+    return bool(np.any((0.0 < top) & (vals.min(axis=-1) <= SHAPE_RTOL * top)))
+
+
 def _project_covariances(
     code: str,
     scatter: np.ndarray,
@@ -292,13 +300,12 @@ def _project_covariances(
             unit, lam = _shape_normalize(vals.sum(axis=0))
             eig = lam / n_total * unit
         elif volume == "E":  # EVI
+            if _shape_is_singular(vals):
+                raise NumericError("EVI component shape is singular")
             unit, lam = _shape_normalize(vals)
             eig = float(np.sum(lam)) / n_total * unit
         else:  # VEI, VEV
-            pooled = vals.sum(axis=0)
-            if 0.0 < pooled.max() and pooled.min() <= SHAPE_RTOL * pooled.max():
-                # zero on some axes only, up to rounding: the shared shape has no
-                # estimate, and the coordinate descent chases it into overflow
+            if _shape_is_singular(vals.sum(axis=0)):
                 raise NumericError(f"{code} shared shape is singular")
             if prev_cov is None:
                 lam = np.trace(scatter, axis1=1, axis2=2) / (counts * d)

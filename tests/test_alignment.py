@@ -30,7 +30,9 @@ from veriq.alignment import (
     write_sweep_csv,
 )
 from veriq.errors import NumericError, ValidationError
-from veriq.metrics import auc, hter, roc, select_hter_threshold
+from veriq.metrics import auc, hter
+
+from .test_metrics import _reference_roc, _reference_select_hter_threshold
 
 _HORIZONTAL = EyePair((100.0, 200.0), (170.0, 200.0))
 
@@ -297,12 +299,12 @@ def test_write_sweep_csv(tmp_path):
 
 
 def _per_cell_sweep(score_tables, grid):
-    """sweep_grid as one roc, auc and hter call per cell: the reference."""
+    """sweep_grid as one per-threshold ROC, AUC and HTER per cell: the reference."""
     grid = [tuple(cell) for cell in grid]
     match, nonmatch = score_tables[tuple(0 for _ in grid[0])]
-    threshold = select_hter_threshold(match, nonmatch)
+    threshold = _reference_select_hter_threshold(match, nonmatch)
     cells = [
-        SweepCell(cell, hter(m, n, threshold), auc(roc(m, n)))
+        SweepCell(cell, hter(m, n, threshold), auc(_reference_roc(m, n)))
         for cell in grid if cell in score_tables
         for m, n in [score_tables[cell]]
     ]

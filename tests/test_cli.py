@@ -745,7 +745,7 @@ def _dict_grouping_cmd_sweep(args):
         ("theta", "tx", "ty") if args.mode == "fixed" else ("sigma_x", "sigma_y", "seed")
     )
     rows = dataio._read_rows(
-        cli._read_text(args.scores),
+        cli._read_text(args.scores).splitlines(),
         param_names + ("score", "label"),
         (dataio.NUMBER,) * (len(param_names) + 1) + (dataio.LABEL,),
     )

@@ -51,12 +51,6 @@ def test_parse_minimal_file():
     np.testing.assert_array_equal(rs.quality_matrix(), [[0.1, 0.2], [0.3, 0.4]])
 
 
-def test_parse_accepts_stream_and_line_iterable():
-    text = HEADER_2D + "\na,b,1.0,match,0.0,0.0\n"
-    assert len(parse_records(io.StringIO(text))) == 1
-    assert len(parse_records(text.splitlines())) == 1
-
-
 def test_parse_gathers_all_bad_lines_with_numbers():
     text = "\n".join(
         [
@@ -406,21 +400,8 @@ def test_every_format_reports_exactly_its_bad_lines(name, data):
     errors = excinfo.value.errors
     assert [int(msg.split(":")[0].removeprefix("line ")) for msg in errors] == bad
     with pytest.raises(RecordsError) as per_line:
-        list(dataio._read_rows(text, header.split(","), kinds))
+        list(dataio._read_rows(text.splitlines(), header.split(","), kinds))
     assert errors == per_line.value.errors
-
-
-@settings(max_examples=40, deadline=None)
-@given(rows=st.lists(st.tuples(_CELLS[NUMBER], _CELLS[LABEL], _id_strategy), max_size=6),
-       chunk_lines=st.integers(min_value=1, max_value=4))
-def test_read_columns_takes_a_stream_or_a_line_iterable(rows, chunk_lines):
-    kinds = (NUMBER, LABEL, TEXT)
-    lines = ["a,b,c"] + [",".join(row) for row in rows]
-    text = "\n".join(lines) + "\n"
-    with mock.patch.object(dataio, "_CHUNK_LINES", chunk_lines):
-        for source in (text, io.StringIO(text), iter(lines)):
-            _assert_columns_read(read_columns(source, ["a", "b", "c"], kinds), kinds,
-                                 [list(row) for row in rows])
 
 
 @pytest.mark.parametrize("end", ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",

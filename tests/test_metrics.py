@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from veriq.errors import NumericError, ValidationError
@@ -16,7 +16,6 @@ from veriq.metrics import (
     RocCurve,
     _as_scores,
     auc,
-    candidate_thresholds,
     erc,
     far_frr,
     hter,
@@ -131,10 +130,10 @@ def test_threshold_for_fmr_requires_enough_data():
 
 
 def test_candidate_thresholds_are_midpoints_with_sentinels():
-    cands = candidate_thresholds([1.0, 3.0], [2.0])
-    np.testing.assert_array_equal(cands, [-math.inf, 1.5, 2.5, math.inf])
-    dedup = candidate_thresholds([1.0, 1.0], [1.0])
-    np.testing.assert_array_equal(dedup, [-math.inf, math.inf])
+    cands = roc([1.0, 3.0], [2.0]).thresholds
+    np.testing.assert_array_equal(cands, [math.inf, 2.5, 1.5, -math.inf])
+    dedup = roc([1.0, 1.0], [1.0]).thresholds
+    np.testing.assert_array_equal(dedup, [math.inf, -math.inf])
 
 
 def test_midpoints_near_the_float_maximum_stay_finite():
@@ -156,13 +155,6 @@ def test_roc_is_sorted_by_ascending_far():
     np.testing.assert_array_equal(curve.car, 1.0 - curve.frr)
     assert curve.far[0] == 0.0 and curve.far[-1] == 1.0
     assert curve.frr[0] == 1.0 and curve.frr[-1] == 0.0
-
-
-def test_roc_explicit_thresholds_are_honored():
-    curve = roc([1.0], [0.0], thresholds=[0.5, 2.0, -1.0])
-    np.testing.assert_array_equal(curve.thresholds, [2.0, 0.5, -1.0])
-    np.testing.assert_array_equal(curve.far, [0.0, 0.0, 1.0])
-    np.testing.assert_array_equal(curve.frr, [1.0, 0.0, 0.0])
 
 
 # frozen via exhaustive pair counting over the 25 (match, nonmatch) pairs
@@ -199,19 +191,11 @@ def test_auc_is_invariant_under_monotone_transforms():
 def test_polarity_flip_swaps_error_kinds():
     rng = np.random.default_rng(4)
     match, nonmatch = rng.normal(1, 1, 25), rng.normal(0, 1, 25)
-    for t in candidate_thresholds(match, nonmatch)[1:-1]:
+    for t in roc(match, nonmatch).thresholds[1:-1]:
         far, frr = far_frr(match, nonmatch, t)
         far_flip, frr_flip = far_frr(-nonmatch, -match, -t)
         assert far_flip == frr
         assert frr_flip == far
-
-
-def test_roc_rejects_nan_thresholds_and_keeps_infinite_ones():
-    with pytest.raises(ValidationError, match="NaN"):
-        roc([1.0], [0.0], thresholds=[0.5, math.nan])
-    curve = roc([1.0], [0.0], thresholds=[-math.inf, math.inf])
-    np.testing.assert_array_equal(curve.far, [0.0, 1.0])
-    np.testing.assert_array_equal(curve.frr, [1.0, 0.0])
 
 
 def test_nan_scores_are_rejected():
@@ -238,7 +222,7 @@ def test_infinite_scores_are_rejected():
 
 def test_auc_needs_two_points():
     with pytest.raises(ValidationError):
-        auc(roc([1.0], [0.0], thresholds=[0.5]))
+        auc(RocCurve(np.array([0.5]), np.array([0.0]), np.array([0.0])))
 
 
 # ------------------------------------------------------------------ HTER
@@ -375,27 +359,35 @@ def test_erc_validation():
 # unchanged as oracles: the sort-based versions must agree bit for bit.
 
 
-def _reference_roc(match_scores, nonmatch_scores, thresholds=None) -> RocCurve:
-    """Evaluate far_frr on each threshold and sort points by FAR."""
+def _reference_candidate_thresholds(match, nonmatch) -> np.ndarray:
+    """Midpoints of adjacent pooled unique scores, plus the two infinities.
+
+    Each run of equal scores pools to its first in match, then nonmatch
+    order. np.unique would not do: its unstable sort picks a zero's sign.
+    """
+    pooled = np.sort(np.concatenate([match, nonmatch]), kind="stable")
+    pooled = pooled[np.r_[True, pooled[1:] != pooled[:-1]]]
+    mids = pooled[:-1] / 2.0 + pooled[1:] / 2.0
+    return np.concatenate([[-math.inf], mids, [math.inf]])
+
+
+def _reference_roc(match_scores, nonmatch_scores) -> RocCurve:
+    """Evaluate far_frr on each candidate threshold, from the largest down."""
     match = _as_scores(match_scores, "match")
     nonmatch = _as_scores(nonmatch_scores, "nonmatch")
-    if thresholds is None:
-        thresholds = candidate_thresholds(match, nonmatch)
-    thresholds = np.asarray(thresholds, dtype=float).reshape(-1)
-    if thresholds.size == 0:
-        raise ValidationError("need at least one threshold")
+    # descending pooled scores give FAR ascending; of two equal thresholds
+    # (-0.0 and 0.0, or subnormal halves) the one above the larger score first
+    thresholds = _reference_candidate_thresholds(match, nonmatch)[::-1]
     far = np.array([float(np.mean(nonmatch >= t)) for t in thresholds])
     frr = np.array([float(np.mean(match < t)) for t in thresholds])
-    # descending thresholds give FAR ascending; stable for ties
-    order = np.argsort(-thresholds, kind="stable")
-    return RocCurve(thresholds[order], far[order], frr[order])
+    return RocCurve(thresholds, far, frr)
 
 
 def _reference_select_hter_threshold(match_scores, nonmatch_scores) -> float:
     """Threshold minimizing (FAR + FRR) / 2 over the candidate set."""
     match = _as_scores(match_scores, "match")
     nonmatch = _as_scores(nonmatch_scores, "nonmatch")
-    candidates = candidate_thresholds(match, nonmatch)
+    candidates = _reference_candidate_thresholds(match, nonmatch)
     best_t = None
     best_value = math.inf
     for t in candidates:
@@ -480,33 +472,34 @@ def _assert_same_bits(got, ref, fields):
         assert a.tobytes() == b.tobytes(), name
 
 
-# integer-valued scores put ties on the scores and on explicit thresholds;
-# single-element classes come from min_size=1
+# integer-valued scores put ties on the scores; single-element classes come
+# from min_size=1
 _tied_scores = st.lists(st.integers(-6, 6).map(float), min_size=1, max_size=30)
 _any_scores = _tied_scores | _scores
-_thresholds = st.lists(
-    st.integers(-7, 7).map(float) | st.sampled_from([-math.inf, math.inf])
-    | st.floats(-100, 100, allow_nan=False),
-    min_size=1, max_size=12,
-)
-
-
-@settings(max_examples=300, deadline=None)
-@given(_any_scores, _any_scores, st.none() | _thresholds)
-def test_sort_based_roc_matches_per_threshold_reference(match, nonmatch, thresholds):
-    got = roc(match, nonmatch, thresholds)
-    ref = _reference_roc(match, nonmatch, thresholds)
-    _assert_same_bits(got, ref, ("thresholds", "far", "frr"))
-    if len(got) >= 2:
-        assert auc(got) == auc(ref)
 
 
 @settings(max_examples=300, deadline=None)
 @given(_any_scores, _any_scores)
+# the zero threshold takes the sign of the first zero in match, then nonmatch
+# order; np.unique's unstable sort gave -0.0 here
+@example([0.0] * 7 + [-5e-324], [-0.0])
+# the thresholds above -0.0 and -5e-324 are 0.0 and -0.0: descending score order
+@example([-5e-324, -0.0, 5e-324], [1.0])
+def test_sort_based_roc_matches_per_threshold_reference(match, nonmatch):
+    got = roc(match, nonmatch)
+    ref = _reference_roc(match, nonmatch)
+    _assert_same_bits(got, ref, ("thresholds", "far", "frr"))
+    assert auc(got) == auc(ref)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_any_scores, _any_scores)
+@example([-5e-324, -0.0, 5e-324], [1.0])
 def test_sort_based_hter_threshold_matches_reference(match, nonmatch):
     got = select_hter_threshold(match, nonmatch)
-    assert got == _reference_select_hter_threshold(match, nonmatch)
     assert type(got) is float
+    # bit for bit: hex keeps -0.0 apart from 0.0
+    assert got.hex() == _reference_select_hter_threshold(match, nonmatch).hex()
 
 
 @st.composite

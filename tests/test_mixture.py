@@ -509,6 +509,13 @@ def _flat_cluster_data():
                       r.normal([4, 4, 4], 1.0, size=(40, 3))])
 
 
+def test_evi_fails_a_component_flat_on_one_axis():
+    # the flat component's shape has no estimate; its volume used to split into
+    # variances 9.75e99, 9.28e99 and 2.57e-202, a fit that beat VEI and EEI
+    with pytest.raises(NumericError, match="EVI component shape is singular"):
+        em_fit(_flat_cluster_data(), 3, "EVI", d_q=2, d_r=1, seed=3)
+
+
 _SEARCH_FAMILIES = ("EII", "VVI", "VVV", "EEE")
 
 
@@ -959,7 +966,7 @@ def test_model_covariances_must_be_symmetric_positive_definite(cov, message):
 @pytest.mark.parametrize("code", PARAMETRIZATIONS)
 def test_fitted_families_load_and_broken_ones_do_not(code):
     # the flat cluster ridges the VVI and VVV fits, which miss by about 1e-8
-    with contextlib.suppress(NumericError):  # a singular shared shape
+    with contextlib.suppress(NumericError):  # a singular shape
         model_from_dict(model_to_dict(em_fit(_flat_cluster_data(), 3, code, d_q=2, d_r=1,
                                              seed=3)))
     doc = model_to_dict(em_fit(_blob_data(8), 3, code, d_q=2, d_r=1, seed=3))
@@ -1178,20 +1185,23 @@ def _reference_scatter(data, resp):
 
 def _shared_shape_is_singular(code, scatter):
     """Whether VEI's scatter diagonals or VEV's clamped eigenvalues, summed over
-    the components, are zero up to rounding on some axes and positive on others.
+    the components, or one EVI component's scatter diagonal, are zero up to
+    rounding on some axes and positive on others.
 
-    The shared shape then has no estimate; the coordinate descent chases it
-    into clamp artifacts, rounding noise or overflow (on two rows in 5-d, a
-    variance of 2.2 comes out as 1.9e11).
+    The shape then has no estimate; the coordinate descent chases it into
+    clamp artifacts, rounding noise or overflow (on two rows in 5-d, a
+    variance of 2.2 comes out as 1.9e11), and EVI's volume split into
+    variances of 1e100 beside 1e-202.
     """
-    if code == "VEI":
+    if code in ("VEI", "EVI"):
         vals = np.diagonal(scatter, axis1=1, axis2=2)
     elif code == "VEV":
         vals = np.maximum(np.linalg.eigh(0.5 * (scatter + np.swapaxes(scatter, 1, 2)))[0], 0.0)
     else:
         return False
-    pooled = vals.sum(axis=0)
-    return bool(0.0 < pooled.max() and pooled.min() <= mixture.SHAPE_RTOL * pooled.max())
+    rows = vals if code == "EVI" else vals.sum(axis=0, keepdims=True)
+    return any(0.0 < row.max() and row.min() <= mixture.SHAPE_RTOL * row.max()
+               for row in rows)
 
 
 def _reference_m_step(data, resp, code, project=_reference_project_covariances):
@@ -1348,6 +1358,10 @@ def test_letter_projection_matches_per_family_reference(case):
         prev = None
         if prev_scatter is not None:
             prev = _reference_project_covariances(code, prev_scatter, nk, None)
+        if _shared_shape_is_singular(code, scatter):
+            with pytest.raises(NumericError, match="shape is singular"):
+                mixture._project_covariances(code, scatter, nk, prev)
+            continue
         got = mixture._project_covariances(code, scatter, nk, prev)
         ref = _reference_project_covariances(code, scatter, nk, prev)
         assert got.shape == ref.shape == scatter.shape
