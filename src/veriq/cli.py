@@ -24,6 +24,11 @@ from .errors import NumericError, ValidationError
 
 # veriq synth refuses requests for more quality values (records x axes).
 _MAX_SYNTH_VALUES = 10**6
+# veriq fit refuses requests past these sizes, checked before any is built.
+_MAX_FIT_REGIONS = 10**5
+_MAX_GRID_ROWS = 10**6
+_MAX_TRAINING_ROWS = 10**6
+_MAX_MASK_BYTES = 10**8  # quality.build_regions' per-axis interval masks
 
 
 class UsageError(Exception):
@@ -66,20 +71,39 @@ def _parse_cov_models(spec: str) -> list[str]:
     return names
 
 
-def _match_nonmatch(records: dataio.RecordSet):
-    scores = records.scores()
-    is_match = records.is_match()
+def _match_nonmatch(scores, is_match):
     return scores[is_match], scores[~is_match]
 
 
 def cmd_validate(args) -> int:
-    records = dataio.parse_records(_read_text(args.records))
-    n_match = int(np.sum(records.is_match()))
+    records = dataio.parse_record_columns(_read_text(args.records))
+    n_match = int(np.count_nonzero(records.is_match))
     print(f"records={len(records)}")
     print(f"match={n_match}")
     print(f"nonmatch={len(records) - n_match}")
     print(f"quality_dim={records.quality_dim}")
     return 0
+
+
+def _check_size(value: int, cap: int, what: str) -> None:
+    if value > cap:
+        raise UsageError(f"fit would build {what}, over the cap of {cap}")
+
+
+def _check_grid_fit_size(d: int, n_records: int, n_qs: int, grid_points: int,
+                         n_rand: int) -> None:
+    """Refuse a grid-mode fit whose regions, grid, training matrix or region
+    masks would pass their caps."""
+    # past 64 axes, 2 or more per axis exceed every cap anyway
+    per_axis = n_qs - 2
+    n_regions = per_axis ** min(d, 64)
+    _check_size(n_regions, _MAX_FIT_REGIONS, f"(--n-qs - 2)^d = {per_axis}^{d} regions")
+    _check_size(grid_points ** min(d, 64), _MAX_GRID_ROWS,
+                f"--grid-points^d = {grid_points}^{d} grid rows")
+    _check_size(n_regions * n_rand, _MAX_TRAINING_ROWS,
+                f"regions x --n-rand = {n_regions} x {n_rand} training rows")
+    _check_size(d * per_axis * n_records, _MAX_MASK_BYTES,
+                f"d x (--n-qs - 2) x records = {d} x {per_axis} x {n_records} mask bytes")
 
 
 def _regions_and_grid(records, args):
@@ -88,7 +112,11 @@ def _regions_and_grid(records, args):
     interior quantile points."""
     if args.mode == "cluster":
         regions = quality.cluster_regions(records, min_members=args.min_members)
+        _check_size(len(regions) * args.n_rand, _MAX_TRAINING_ROWS,
+                    f"regions x --n-rand = {len(regions)} x {args.n_rand} training rows")
         return regions, np.array([r.center for r in regions])
+    _check_grid_fit_size(records.quality_dim, len(records), args.n_qs, args.grid_points,
+                         args.n_rand)
     grid = quality.quantile_grid(records, args.n_qs)
     axes = [np.linspace(pts[1], pts[-2], args.grid_points) for pts in grid.points]
     return (
@@ -122,7 +150,7 @@ def cmd_fit(args) -> int:
     _check_outputs(args.out_model, args.out_bic, args.out_grid, args.out_regions,
                    args.out_posteriors)
     records = dataio.parse_records(_read_text(args.records))
-    match_scores, nonmatch_scores = _match_nonmatch(records)
+    match_scores, nonmatch_scores = _match_nonmatch(records.scores(), records.is_match())
     if match_scores.size == 0 or nonmatch_scores.size == 0:
         raise ValidationError("fitting needs both match and nonmatch records")
     prior = errormodel.BetaPosterior(args.prior_a, args.prior_b)
@@ -223,9 +251,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_roc(args) -> int:
-    records = dataio.parse_records(_read_text(args.records))
-    match_scores, nonmatch_scores = _match_nonmatch(records)
-    curve = metrics.roc(match_scores, nonmatch_scores)
+    records = dataio.parse_record_columns(_read_text(args.records))
+    curve = metrics.roc(*_match_nonmatch(records.scores, records.is_match))
     metrics.write_roc_csv(curve, args.out)
     print(f"points={len(curve)}")
     print(f"auc={metrics.auc(curve)!r}")
@@ -301,18 +328,19 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _ium_of_file(path):
+    records = dataio.parse_record_columns(_read_text(path))
+    return uniqueness.ium_by_subject(records.probe_ids, records.scores, records.is_match)
+
+
 def cmd_ium(args) -> int:
-    records = dataio.parse_records(_read_text(args.records))
-    results = uniqueness.ium_by_subject(records)
+    results = _ium_of_file(args.records)
     if not results:
         raise NumericError("no subject has at least 2 distinct impostor scores")
     uniqueness.write_ium_csv(results, args.out)
     print(f"subjects={len(results)}")
     if args.compare:
-        other = uniqueness.ium_by_subject(
-            dataio.parse_records(_read_text(args.compare))
-        )
-        corr = uniqueness.ium_correlation(results, other)
+        corr = uniqueness.ium_correlation(results, _ium_of_file(args.compare))
         print(f"pearson_r={corr.r!r}")
         print(f"n_joined={corr.n_joined}")
         print(f"n_excluded={corr.n_excluded}")

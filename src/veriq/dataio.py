@@ -275,21 +275,54 @@ def read_columns(text: str, header, kinds) -> list:
     return columns
 
 
+@dataclass(frozen=True)
+class RecordColumns:
+    """A records file as columns in file order: ids, scores, match flags and
+    the (N, quality_dim) quality matrix."""
+
+    probe_ids: list[str]
+    ref_ids: list[str]
+    scores: np.ndarray
+    is_match: np.ndarray
+    quality: np.ndarray
+    ref_quality: bool
+
+    @property
+    def quality_dim(self) -> int:
+        return self.quality.shape[1]
+
+    def __len__(self):
+        return self.scores.size
+
+
+def parse_record_columns(text: str) -> RecordColumns:
+    """Parse records CSV text into columns, with parse_records' checks and
+    messages: a bad header, or every bad line at once, raises RecordsError."""
+    # the first line ends at or before the first "\n"
+    first = text.partition("\n")[0].splitlines()
+    quality_dim, ref_quality = _parse_header(first[0] if first else "")
+    probe_ids, ref_ids, scores, is_match, *quality = read_columns(
+        text,
+        list(_FIXED_COLUMNS) + _quality_header(quality_dim, ref_quality),
+        (TEXT, TEXT, NUMBER, LABEL) + (NUMBER,) * quality_dim,
+    )
+    return RecordColumns(probe_ids, ref_ids, scores, is_match, np.column_stack(quality),
+                         ref_quality)
+
+
 def parse_records(text: str) -> RecordSet:
     """Parse CSV text into a RecordSet.
 
     All malformed lines are gathered and raised together as a RecordsError
     whose messages carry 1-based line numbers.
     """
-    lines = text.splitlines()
-    quality_dim, ref_quality = _parse_header(lines[0] if lines else "")
-    header = list(_FIXED_COLUMNS) + _quality_header(quality_dim, ref_quality)
-    kinds = (TEXT, TEXT, NUMBER, LABEL) + (NUMBER,) * quality_dim
-    records = tuple(
-        VerificationRecord(probe_id, ref_id, score, label, tuple(quality))
-        for probe_id, ref_id, score, label, *quality in _read_rows(lines, header, kinds)
-    )
-    return RecordSet(records, quality_dim, ref_quality)
+    columns = parse_record_columns(text)
+    labels = [MATCH if m else NONMATCH for m in columns.is_match.tolist()]
+    records = tuple(map(
+        VerificationRecord, columns.probe_ids, columns.ref_ids, columns.scores.tolist(),
+        labels, map(tuple, columns.quality.tolist()),
+    ))
+    return RecordSet(records, columns.quality_dim, columns.ref_quality)
 
 
 def _format_float(x: float) -> str:

@@ -125,7 +125,7 @@ def hter(match_scores, nonmatch_scores, threshold: float) -> float:
 
 
 def _roc_cells(tables, threshold: float | None = None):
-    """ROC points of every (match, nonmatch) pair of tables from one lexsort
+    """ROC points of every (match, nonmatch) pair of tables from one sort
     by (cell, descending score) (Fawcett 2006, Alg. 1, segmented by cell).
 
     Each cell's points: the midpoint above each pooled unique score from the
@@ -153,11 +153,15 @@ def _roc_cells(tables, threshold: float | None = None):
         far = np.bincount(cell[~is_match & ~below], minlength=len(tables)) / n_nonmatch
         hters = (far + frr) / 2.0
 
-    order = np.lexsort((-scores, cell))
+    # descending scores, then stably by cell; equal scores fall in any order
+    order = np.argsort(-scores)
+    small_cell = cell[order].astype(np.min_scalar_type(len(tables)))
+    order = order[np.argsort(small_cell, kind="stable")]
     value, cell, is_match = scores[order], cell[order], is_match[order]
     first = np.r_[True, (cell[1:] != cell[:-1]) | (value[1:] != value[:-1])]
     group = np.flatnonzero(first)  # start of each pooled unique score
-    g_cell, g_value = cell[group], value[group]
+    # a group's value is its score first in input (match, then nonmatch) order
+    g_cell, g_value = cell[group], scores[np.minimum.reduceat(order, group)]
     # halving first cannot overflow, and is exact above the subnormal range
     mids = np.r_[math.inf, g_value[1:] / 2.0 + g_value[:-1] / 2.0]
     upper = np.where(np.r_[True, g_cell[1:] != g_cell[:-1]], math.inf, mids)

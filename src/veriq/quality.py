@@ -10,6 +10,7 @@ capture angles onto an unbiased quality space by least squares.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -116,7 +117,7 @@ def _region(region_id, center, lower, upper, values, members, min_members) -> Qu
         mean, variances = fit_region_gaussian(values[members])
     else:
         mean, variances = center.copy(), np.full(center.shape[0], VARIANCE_FLOOR)
-    return QualityRegion(region_id, center, lower, upper, tuple(int(i) for i in members),
+    return QualityRegion(region_id, center, lower, upper, tuple(members.tolist()),
                          mean, variances, sparse=members.size < min_members)
 
 
@@ -136,12 +137,20 @@ def build_regions(
     if values.shape[1] != grid.dim:
         raise ValidationError("record quality dimension does not match grid")
     interior = range(1, grid.n_qs - 1)
+    # each axis's closed interval masks, one per interior point, ANDed per
+    # region: the same inclusive comparisons as on the whole (N, d) matrix
+    masks = [
+        [(column >= points[i - 1]) & (column <= points[i + 1]) for i in interior]
+        for column, points in zip(values.T, grid.points)
+    ]
     regions = []
     for region_id, combo in enumerate(itertools.product(interior, repeat=grid.dim)):
         center = np.array([grid.points[ax][i] for ax, i in enumerate(combo)])
         lower = np.array([grid.points[ax][i - 1] for ax, i in enumerate(combo)])
         upper = np.array([grid.points[ax][i + 1] for ax, i in enumerate(combo)])
-        inside = np.all((values >= lower) & (values <= upper), axis=1)
+        inside = functools.reduce(
+            np.logical_and, (masks[ax][i - 1] for ax, i in enumerate(combo))
+        )
         regions.append(_region(region_id, center, lower, upper, values,
                                np.flatnonzero(inside), min_members))
     return regions

@@ -11,12 +11,13 @@ built from extremes, is sensitive to single outliers by design.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import NONMATCH, RecordSet, write_csv
+from .dataio import write_csv
 from .errors import NumericError, ValidationError
 
 
@@ -72,21 +73,22 @@ def ium(impostor_scores, subject_id: str = "") -> IumResult:
     )
 
 
-def ium_by_subject(records: RecordSet) -> list[IumResult]:
-    """Group nonmatch scores by probe_id and compute u per subject.
+def ium_by_subject(probe_ids, scores, is_match) -> list[IumResult]:
+    """Group the nonmatch scores by probe id, in file order, and compute u
+    per subject, in ascending subject order.
 
-    Subjects with fewer than 2 impostor scores or constant scores are
-    skipped.
+    probe_ids, scores and is_match are a records file's columns. Subjects
+    with fewer than 2 impostor scores or constant scores are skipped.
     """
+    nonmatch = ~np.asarray(is_match, dtype=bool)
     groups: dict[str, list[float]] = {}
-    for rec in records.records:
-        if rec.label == NONMATCH:
-            groups.setdefault(rec.probe_id, []).append(rec.score)
+    for subject_id, score in zip(itertools.compress(probe_ids, nonmatch.tolist()),
+                                 np.asarray(scores, dtype=float)[nonmatch].tolist()):
+        groups.setdefault(subject_id, []).append(score)
     results = []
     for subject_id in sorted(groups):
-        scores = groups[subject_id]
         try:
-            results.append(ium(scores, subject_id))
+            results.append(ium(groups[subject_id], subject_id))
         except (ValidationError, DegenerateScoresError):
             continue
     return results

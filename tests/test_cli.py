@@ -380,6 +380,50 @@ def test_fit_rejects_bad_priors_and_min_members_before_reading(tmp_path, capsys,
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "sizes, named",
+    [((2, 100, 10**6, 10, 20), "regions"),      # 999,998^2 regions
+     ((70, 100, 4, 1, 1), "regions"),           # 2^70 regions
+     ((2, 100, 12, 10**4, 20), "grid rows"),    # 10,000^2 grid points
+     ((3, 100, 12, 10, 10**4), "training rows"),  # 1,000 regions x 10,000 draws
+     ((1, 1001, 10**5 + 2, 10, 1), "mask bytes")],  # 1 x 100,000 x 1,001 bytes
+)
+def test_fit_size_caps_refuse_products_past_them(sizes, named):
+    # arithmetic only: (d, records, --n-qs, --grid-points, --n-rand)
+    with pytest.raises(cli.UsageError, match=named):
+        cli._check_grid_fit_size(*sizes)
+
+
+def test_fit_size_caps_admit_the_benchmark_and_paper_sizes():
+    for sizes in ((2, 5120, 12, 10, 20), (3, 16000, 12, 10, 20), (200, 10, 3, 1, 1)):
+        cli._check_grid_fit_size(*sizes)
+
+
+@pytest.mark.parametrize(
+    "cap, value, extra, named",
+    [("_MAX_FIT_REGIONS", 8, [], "--n-qs"),            # 3^2 = 9 regions
+     ("_MAX_GRID_ROWS", 15, [], "--grid-points"),      # 4^2 = 16 grid rows
+     ("_MAX_TRAINING_ROWS", 89, [], "--n-rand"),       # 9 x 10 = 90 rows
+     ("_MAX_MASK_BYTES", 2159, [], "mask bytes"),      # 2 x 3 x 360 bytes
+     ("_MAX_TRAINING_ROWS", 89, ["--mode", "cluster"], "--n-rand")],  # 9 anchors
+)
+def test_fit_past_a_size_cap_exits_2_before_writing(tmp_path, capsys, monkeypatch,
+                                                    cap, value, extra, named):
+    # the caps are lowered, so a broken check builds nothing large
+    records, _ = synth(tmp_path, capsys)
+    monkeypatch.setattr(cli, cap, value)
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = ["fit", str(records), *FIT_FLAGS, *extra,
+            "--out-model", str(out / "model.json"), "--out-bic", str(out / "bic.csv"),
+            "--out-grid", str(out / "grid.csv")]
+    code, stdout, err = run(argv, capsys)
+    assert code == 2
+    assert err.startswith("usage error: fit would build") and named in err
+    assert len(err.splitlines()) == 1 and stdout == ""
+    assert list(out.iterdir()) == []
+
+
 def test_predict_matches_library_conditioning(fitted, tmp_path, capsys):
     _, out, _ = fitted
     queries = np.array([[0.1, 0.2], [0.5, 0.5], [0.9, 0.4]])

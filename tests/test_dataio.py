@@ -2,6 +2,7 @@
 
 import io
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -23,6 +24,7 @@ from veriq.dataio import (
     SynthConfig,
     VerificationRecord,
     parse_quality_csv,
+    parse_record_columns,
     parse_records,
     read_columns,
     records_to_text,
@@ -164,6 +166,36 @@ def test_roundtrip_property(rs):
     assert records_to_text(back) == text
 
 
+@settings(max_examples=60, deadline=None)
+@given(_record_sets(), st.booleans(), st.data())
+def test_record_columns_roundtrip_property(rs, ref_quality, data):
+    if ref_quality:  # the same values under q1..qm and g1..gm
+        rs = RecordSet(tuple(replace(r, quality=r.quality * 2) for r in rs.records),
+                       2 * rs.quality_dim, True)
+    lines = records_to_text(rs).splitlines()
+    # blank lines anywhere after the header; "\x85" (NEL) ends a line too
+    for _ in range(data.draw(st.integers(min_value=0, max_value=3))):
+        lines.insert(data.draw(st.integers(min_value=1, max_value=len(lines))),
+                     data.draw(st.sampled_from(["", " ", "\t"])))
+    ends = data.draw(st.lists(st.sampled_from(["\n", "\r\n", "\x85"]),
+                              min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    columns = parse_record_columns(text)
+    records = rs.records
+    assert len(columns) == len(records)
+    assert (columns.quality_dim, columns.ref_quality) == (rs.quality_dim, rs.ref_quality)
+    assert columns.probe_ids == [r.probe_id for r in records]
+    assert columns.ref_ids == [r.ref_id for r in records]
+    scores = np.array([r.score for r in records], dtype=float)
+    assert columns.scores.view(np.int64).tolist() == scores.view(np.int64).tolist()
+    assert columns.is_match.tolist() == [r.label == MATCH for r in records]
+    quality = np.array([r.quality for r in records], dtype=float).reshape(-1, rs.quality_dim)
+    assert columns.quality.shape == quality.shape
+    assert columns.quality.view(np.int64).tolist() == quality.view(np.int64).tolist()
+    # parse_records builds its RecordSet from the same columns
+    assert parse_records(text).records == records
+
+
 def test_empty_recordset_roundtrip():
     rs = _rs([])
     text = records_to_text(rs)
@@ -297,10 +329,22 @@ def _columns_of_records(text):
             rs.scores(), rs.is_match(), *rs.quality_matrix().T]
 
 
-# The five input formats: header, cell kinds, and a parser returning columns.
+def _record_columns(text):
+    columns = parse_record_columns(text)
+    return [columns.probe_ids, columns.ref_ids, columns.scores, columns.is_match,
+            *columns.quality.T]
+
+
+_RECORD_KINDS = (TEXT, TEXT, NUMBER, LABEL)
+
+# The input formats: header, cell kinds, and a parser returning columns.
 _FORMATS = {
     "records": ("probe_id,ref_id,score,label,q1,q2",
-                (TEXT, TEXT, NUMBER, LABEL, NUMBER, NUMBER), _columns_of_records),
+                _RECORD_KINDS + (NUMBER,) * 2, _columns_of_records),
+    "record_columns": ("probe_id,ref_id,score,label,q1,q2,q3",
+                       _RECORD_KINDS + (NUMBER,) * 3, _record_columns),
+    "record_columns_qg": ("probe_id,ref_id,score,label,q1,q2,g1,g2",
+                          _RECORD_KINDS + (NUMBER,) * 4, _record_columns),
     "quality": ("q1,q2,q3", (NUMBER,) * 3, lambda text: list(parse_quality_csv(text).T)),
     "attempts": ("score,label,predicted_error", (NUMBER, LABEL, NUMBER), None),
     "sweep": ("theta,tx,ty,score,label", (NUMBER,) * 4 + (LABEL,), None),

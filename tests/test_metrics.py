@@ -485,6 +485,8 @@ _any_scores = _tied_scores | _scores
 @example([0.0] * 7 + [-5e-324], [-0.0])
 # the thresholds above -0.0 and -5e-324 are 0.0 and -0.0: descending score order
 @example([-5e-324, -0.0, 5e-324], [1.0])
+# an unstable sort may put the 0.0 before the -0.0 here (numpy 2.4's argsort does)
+@example([-0.0, 1.0, 0.0], [-5e-324, 1.0])
 def test_sort_based_roc_matches_per_threshold_reference(match, nonmatch):
     got = roc(match, nonmatch)
     ref = _reference_roc(match, nonmatch)

@@ -1,5 +1,7 @@
 """Quantile regions, per-region Gaussians, and the least-squares calibration."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -173,6 +175,61 @@ def test_build_regions_checks_dimension():
     grid = quantile_grid(values, 5)
     with pytest.raises(ValidationError):
         build_regions(grid, values[:, :1])
+
+
+def _reference_regions(grid, values, min_members):
+    """Each region's (members, mean, variances, sparse) from a comparison of
+    the whole (N, d) matrix with the region's bounds."""
+    out = []
+    interior = range(1, grid.n_qs - 1)
+    for combo in itertools.product(interior, repeat=grid.dim):
+        center = np.array([grid.points[ax][i] for ax, i in enumerate(combo)])
+        lower = np.array([grid.points[ax][i - 1] for ax, i in enumerate(combo)])
+        upper = np.array([grid.points[ax][i + 1] for ax, i in enumerate(combo)])
+        members = np.flatnonzero(np.all((values >= lower) & (values <= upper), axis=1))
+        if members.size >= 2:
+            mean = values[members].mean(axis=0)
+            variances = np.maximum(values[members].var(axis=0), VARIANCE_FLOOR)
+        else:
+            mean, variances = center, np.full(grid.dim, VARIANCE_FLOOR)
+        out.append((tuple(members.tolist()), mean, variances, members.size < min_members))
+    return out
+
+
+_POOL = [-1.0, -0.0, 0.0, 0.25, 0.5, 1.0, 3.0]
+
+
+@st.composite
+def _region_inputs(draw):
+    d = draw(st.integers(min_value=1, max_value=4))
+    # up to 1,000 regions: n_qs 12 for d <= 3, 7 for d = 4
+    n_qs = draw(st.integers(min_value=3, max_value=12 if d <= 3 else 7))
+    cell = st.one_of(st.sampled_from(_POOL), st.floats(-4, 4, allow_nan=False))
+    rows = draw(st.lists(st.lists(cell, min_size=d, max_size=d), min_size=0, max_size=40))
+    # two rows keep every axis non-constant; some rows repeat
+    rows = [[0.0] * d, [1.0] * d] + rows
+    rows += draw(st.lists(st.sampled_from(rows), max_size=10))
+    return n_qs, np.array(rows), draw(st.integers(min_value=0, max_value=12))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_region_inputs(), st.data())
+def test_build_regions_equals_a_whole_matrix_comparison_per_region(inputs, data):
+    n_qs, values, min_members = inputs
+    grid = quantile_grid(values, n_qs)
+    # rows exactly on quantile points, with a zero point's other sign too
+    on_points = [[data.draw(st.sampled_from(list(pts))) for pts in grid.points]
+                 for _ in range(data.draw(st.integers(min_value=0, max_value=6)))]
+    flipped = [[-v if v == 0 else v for v in row] for row in on_points]
+    values = np.vstack([values, np.array(on_points + flipped).reshape(-1, grid.dim)])
+    regions = build_regions(grid, values, min_members=min_members)
+    expected = _reference_regions(grid, values, min_members)
+    assert len(regions) == len(expected)
+    for region, (members, mean, variances, sparse) in zip(regions, expected):
+        assert region.member_indices == members
+        assert region.mean.tobytes() == mean.tobytes()
+        assert region.variances.tobytes() == variances.tobytes()
+        assert region.sparse == sparse
 
 
 # -------------------------------------------------------- region Gaussians

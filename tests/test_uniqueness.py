@@ -7,7 +7,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from veriq.dataio import MATCH, NONMATCH, RecordSet, VerificationRecord
+from veriq.dataio import (
+    MATCH,
+    NONMATCH,
+    RecordSet,
+    VerificationRecord,
+    parse_record_columns,
+    parse_records,
+    records_to_text,
+)
 from veriq.errors import ValidationError
 from veriq.uniqueness import (
     DegenerateScoresError,
@@ -119,12 +127,57 @@ def _two_subject_records():
     return RecordSet(tuple(rows), 1)
 
 
+def _columns(records):
+    return ([r.probe_id for r in records.records], records.scores(), records.is_match())
+
+
 def test_ium_by_subject_groups_nonmatch_scores():
-    results = ium_by_subject(_two_subject_records())
+    results = ium_by_subject(*_columns(_two_subject_records()))
     assert [r.subject_id for r in results] == ["s1", "s2"]
     assert results[0].u == pytest.approx(0.5)
     assert results[0].n_impostors == 3  # the match score is not counted
     assert results[1].u == pytest.approx(0.5)
+
+
+def _ium_by_subject_of_records(records):
+    """Per-subject u from a RecordSet, grouping nonmatch records in order."""
+    groups = {}
+    for rec in records.records:
+        if rec.label == NONMATCH:
+            groups.setdefault(rec.probe_id, []).append(rec.score)
+    results = []
+    for subject_id in sorted(groups):
+        try:
+            results.append(ium(groups[subject_id], subject_id))
+        except (ValidationError, DegenerateScoresError):
+            continue
+    return results
+
+
+@st.composite
+def _subject_records(draw):
+    # few subjects and few distinct scores: ties, constant groups and
+    # single-score subjects all occur
+    score = st.one_of(st.sampled_from([-0.0, 0.0, 0.5, 1.0]),
+                      st.floats(-1e6, 1e6, allow_nan=False))
+    rows = draw(st.lists(
+        st.tuples(st.sampled_from(["s1", "s2", "s10", "S2", "a"]), score,
+                  st.sampled_from([MATCH, NONMATCH])),
+        max_size=60,
+    ))
+    return RecordSet(tuple(VerificationRecord(probe, "r", value, label, (0.0,))
+                           for probe, value, label in rows), 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_subject_records())
+def test_ium_by_subject_on_columns_equals_the_record_set_reference(records):
+    text = records_to_text(records)
+    columns = parse_record_columns(text)
+    results = ium_by_subject(columns.probe_ids, columns.scores, columns.is_match)
+    # repr tells -0.0 from 0.0
+    assert repr(results) == repr(_ium_by_subject_of_records(parse_records(text)))
+    assert repr(results) == repr(ium_by_subject(*_columns(records)))
 
 
 def test_ium_correlation_identity_and_reflection():
