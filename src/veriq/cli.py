@@ -264,6 +264,8 @@ def cmd_erc(args) -> int:
         raise UsageError("give exactly one of --threshold or --fmr")
     if args.fmr is not None:
         _check_fmr(args.fmr)
+    if args.threshold is not None and not math.isfinite(args.threshold):
+        raise UsageError("--threshold must be finite")
     if not 0 < args.grid_step <= 1:  # also rejects nan
         raise UsageError("--grid-step must lie in (0, 1]")
     scores, is_match, predicted = dataio.read_columns(
@@ -337,10 +339,12 @@ def cmd_ium(args) -> int:
     results = _ium_of_file(args.records)
     if not results:
         raise NumericError("no subject has at least 2 distinct impostor scores")
+    # both files are read before anything is written or printed
+    corr = (uniqueness.ium_correlation(results, _ium_of_file(args.compare))
+            if args.compare else None)
     uniqueness.write_ium_csv(results, args.out)
     print(f"subjects={len(results)}")
-    if args.compare:
-        corr = uniqueness.ium_correlation(results, _ium_of_file(args.compare))
+    if corr is not None:
         print(f"pearson_r={corr.r!r}")
         print(f"n_joined={corr.n_joined}")
         print(f"n_excluded={corr.n_excluded}")

@@ -116,26 +116,29 @@ def _parse_header(line: str):
     return 2 * m, True
 
 
-def _number(token: str) -> float:
-    try:
-        value = float(token)
-    except ValueError:
-        raise ValueError(f"non-numeric value {token.strip()!r}") from None
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite value {token.strip()!r}")
-    return value
-
-
-def _label(token: str) -> str:
+def _cell_error(kind: str, token: str) -> str | None:
+    """Why a cell of this kind cannot hold token, or None when it can."""
     token = token.strip()
-    if token not in LABELS:
-        raise ValueError(f"expected match or nonmatch, found {token!r}")
-    return token
+    if kind == LABEL and token not in LABELS:
+        return f"expected match or nonmatch, found {token!r}"
+    if kind == NUMBER:
+        try:
+            value = float(token)
+        except ValueError:
+            return f"non-numeric value {token!r}"
+        if not math.isfinite(value):
+            return f"non-finite value {token!r}"
+    return None
 
 
-# Callers name kinds, not these converters: perfbench's tracer wraps every
-# public function of a layer, and a span per cell would swamp a traced run.
-_CONVERTERS = {NUMBER: _number, LABEL: _label, TEXT: str.strip}
+def _match_flags(labels) -> np.ndarray:
+    """A bool array of labels that are each a ``match`` string, or, when not a
+    string, a truthy value."""
+    return np.array(
+        [lbl == MATCH if isinstance(lbl, str) else bool(lbl) for lbl in labels], dtype=bool
+    )
+
+
 _LABEL_SET = frozenset(LABELS)
 
 # The bulk path reads text in chunks of about this many characters, each cut
@@ -152,44 +155,26 @@ def _line_chunks(data: str) -> Iterator[list[str]]:
         start = end
 
 
-def _check_header(first_line: str, header: list) -> None:
-    if [c.strip() for c in first_line.split(",")] != header:
-        raise RecordsError([f"line 1: expected header {','.join(header)}"])
-
-
-def _read_rows(lines: list[str], header, kinds) -> Iterator[list]:
-    """Yield the converted rows of a CSV's lines, one line at a time.
-
-    The per-line reader behind read_columns, with its checks. Every bad line
-    gets one 1-based ``line N: ...`` message, and after the last good row all
-    of them are raised together, in line order, as one RecordsError. Rows are
-    yielded, not listed, so a caller that builds its own objects holds each
-    row only once.
-    """
-    header = list(header)
-    _check_header(lines[0] if lines else "", header)
-    converters = [_CONVERTERS[kind] for kind in kinds]
-    n_cols = len(header)
+def _line_errors(lines: list[str], header: list, kinds) -> list[str]:
+    """The 1-based ``line N: ...`` message of every bad line after the header,
+    in line order: the per-line pass that explains a file _bulk_columns
+    refused. A line's message names its first bad cell."""
     problems = []
     for lineno, raw in enumerate(itertools.islice(lines, 1, None), start=2):
         if not raw.strip():
             continue
         parts = raw.split(",")
-        if len(parts) != n_cols:
+        if len(parts) != len(header):
             problems.append(
-                f"line {lineno}: expected {n_cols} columns, found {len(parts)}"
+                f"line {lineno}: expected {len(header)} columns, found {len(parts)}"
             )
             continue
-        row = []
-        try:
-            for convert, token in zip(converters, parts):
-                row.append(convert(token))
-        except ValueError as exc:
-            problems.append(f"line {lineno}: {header[len(row)]}: {exc}")
-            continue
-        yield row
-    if problems:
-        raise RecordsError(problems)
+        for name, kind, token in zip(header, kinds, parts):
+            error = _cell_error(kind, token)
+            if error is not None:
+                problems.append(f"line {lineno}: {name}: {error}")
+                break
+    return problems
 
 
 def _bulk_columns(data: str, header: list, kinds) -> list | None:
@@ -198,8 +183,9 @@ def _bulk_columns(data: str, header: list, kinds) -> list | None:
     Each chunk's non-blank lines are joined and split on "," once, so
     column j is every n-th token. Every line must hold exactly n - 1
     commas, which keeps the tokens aligned. A NUMBER token is converted by
-    ``float()`` itself. Columns are preallocated from the input's line
-    count and filled chunk by chunk, so no whole-file token list exists.
+    ``float()`` itself. Columns are preallocated from the input's "\n"
+    count, grown when other line ends make more lines, and filled chunk by
+    chunk, so no whole-file token list exists.
     """
     n_cols = len(kinds)
     capacity = data.count("\n") + 1
@@ -210,15 +196,17 @@ def _bulk_columns(data: str, header: list, kinds) -> list | None:
     filled = 0
     chunks = _line_chunks(data)
     first = next(chunks, [])
-    _check_header(first[0] if first else "", header)
+    if [c.strip() for c in (first or [""])[0].split(",")] != header:
+        raise RecordsError([f"line 1: expected header {','.join(header)}"])
     for lines in itertools.chain([first[1:]], chunks):
         rows = list(filter(None, map(str.strip, lines)))
         m = len(rows)
         if m == 0:
             continue
-        # more lines than "\n"s: a file with other line ends
-        if filled + m > capacity:
-            return None
+        if filled + m > capacity:  # more lines than "\n"s: other line ends
+            capacity = 2 * (filled + m)
+            columns = [out if isinstance(out, list) else np.resize(out, capacity)
+                       for out in columns]
         if set(map(str.count, rows, itertools.repeat(","))) != {n_cols - 1}:
             return None
         tokens = ",".join(rows).split(",")
@@ -244,16 +232,6 @@ def _bulk_columns(data: str, header: list, kinds) -> list | None:
     return [out if isinstance(out, list) else out[:filled] for out in columns]
 
 
-def _columns_of_rows(rows: list, kinds) -> list:
-    cols = list(zip(*rows)) or [()] * len(kinds)
-    return [
-        list(col) if kind == TEXT
-        else np.array([c == MATCH for c in col], bool) if kind == LABEL
-        else np.array(col, float)
-        for kind, col in zip(kinds, cols)
-    ]
-
-
 def read_columns(text: str, header, kinds) -> list:
     """The columns of CSV text whose first line is exactly ``header``.
 
@@ -271,7 +249,7 @@ def read_columns(text: str, header, kinds) -> list:
     header = list(header)
     columns = _bulk_columns(text, header, kinds)
     if columns is None:
-        columns = _columns_of_rows(list(_read_rows(text.splitlines(), header, kinds)), kinds)
+        raise RecordsError(_line_errors(text.splitlines(), header, kinds))
     return columns
 
 
@@ -310,13 +288,7 @@ def parse_record_columns(text: str) -> RecordColumns:
                          ref_quality)
 
 
-def parse_records(text: str) -> RecordSet:
-    """Parse CSV text into a RecordSet.
-
-    All malformed lines are gathered and raised together as a RecordsError
-    whose messages carry 1-based line numbers.
-    """
-    columns = parse_record_columns(text)
+def _record_set(columns: RecordColumns) -> RecordSet:
     labels = [MATCH if m else NONMATCH for m in columns.is_match.tolist()]
     records = tuple(map(
         VerificationRecord, columns.probe_ids, columns.ref_ids, columns.scores.tolist(),
@@ -325,23 +297,28 @@ def parse_records(text: str) -> RecordSet:
     return RecordSet(records, columns.quality_dim, columns.ref_quality)
 
 
-def _format_float(x: float) -> str:
-    return repr(float(x))
+def parse_records(text: str) -> RecordSet:
+    """Parse CSV text into a RecordSet.
+
+    All malformed lines are gathered and raised together as a RecordsError
+    whose messages carry 1-based line numbers.
+    """
+    return _record_set(parse_record_columns(text))
 
 
 def records_to_text(records: RecordSet) -> str:
-    header = ",".join(
-        list(_FIXED_COLUMNS) + _quality_header(records.quality_dim, records.ref_quality)
+    """The records as CSV text; scores and quality go through ``float()``."""
+    probe_ids = [rec.probe_id for rec in records.records]
+    ref_ids = [rec.ref_id for rec in records.records]
+    for ident in itertools.chain.from_iterable(zip(probe_ids, ref_ids)):
+        if "," in ident or "\n" in ident or "\r" in ident:
+            raise ValidationError(f"identifier {ident!r} contains a delimiter")
+    return _csv_text(
+        list(_FIXED_COLUMNS) + _quality_header(records.quality_dim, records.ref_quality),
+        [probe_ids, ref_ids, records.scores().tolist(),
+         [rec.label for rec in records.records], *records.quality_matrix().T.tolist()],
+        len(records),
     )
-    lines = [header]
-    for rec in records.records:
-        for ident in (rec.probe_id, rec.ref_id):
-            if "," in ident or "\n" in ident or "\r" in ident:
-                raise ValidationError(f"identifier {ident!r} contains a delimiter")
-        row = [rec.probe_id, rec.ref_id, _format_float(rec.score), rec.label]
-        row.extend(_format_float(v) for v in rec.quality)
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
 
 
 def _write_text(sink, text: str) -> None:
@@ -383,36 +360,39 @@ def _format_cell(value) -> str:
     if isinstance(value, (bool, np.bool_)):
         return str(bool(value)).lower()
     if isinstance(value, (float, np.floating)):
-        return _format_float(value)
+        return repr(float(value))
     return str(value)
 
 
 _BOOL_TEXT = {True: "true", False: "false"}
+# the formatter of a column whose values all have one of these types
+_COLUMN_FORMATS = {float: float.__repr__, bool: _BOOL_TEXT.__getitem__, int: str, str: str}
 
 
 def _format_column(column) -> list[str]:
     """_format_cell of every value, one call per column where one type fills it."""
     types = set(map(type, column))
-    if types == {float}:
-        return list(map(float.__repr__, column))
-    if types == {bool}:
-        return list(map(_BOOL_TEXT.__getitem__, column))
-    if types == {int} or types == {str}:
-        return list(map(str, column))
-    return list(map(_format_cell, column))
+    formatter = _COLUMN_FORMATS.get(types.pop()) if len(types) == 1 else None
+    return list(map(formatter or _format_cell, column))
+
+
+def _csv_text(header: list[str], columns, n_rows: int) -> str:
+    """CSV text of n_rows rows given as equal-length columns: bools as
+    true/false, floats via repr, everything else via str."""
+    lines = [",".join(header)]
+    formatted = list(map(_format_column, columns))
+    lines.extend(map(",".join, zip(*formatted)) if formatted else [""] * n_rows)
+    return "\n".join(lines) + "\n"
 
 
 def write_csv(path_or_stream, header: list[str], rows) -> None:
-    """Emit a CSV: bools as true/false, floats via repr, everything else via str.
+    """Emit a CSV, formatted as _csv_text does.
 
     ``rows`` may be a one-shot iterator of equal-length rows; it is listed
     once and formatted column by column.
     """
     rows = list(rows)
-    columns = [_format_column(column) for column in zip(*rows, strict=True)]
-    lines = [",".join(header)]
-    lines.extend(map(",".join, zip(*columns)) if columns else [""] * len(rows))
-    _write_text(path_or_stream, "\n".join(lines) + "\n")
+    _write_text(path_or_stream, _csv_text(header, zip(*rows, strict=True), len(rows)))
 
 
 def parse_quality_csv(text: str) -> np.ndarray:
@@ -503,37 +483,29 @@ def synthesize_dataset(config: SynthConfig) -> RecordSet:
     rng = np.random.default_rng(config.seed)
     dim = len(config.quality_grid[0])
     model = config.score_model
-    records = []
-    counter = 0
-    for anchor in config.quality_grid:
-        anchor_arr = np.asarray(anchor, dtype=float)
-        for label in (MATCH, NONMATCH):
-            mean_fn = model.match_mean if label == MATCH else model.nonmatch_mean
-            spread = model.match_spread if label == MATCH else model.nonmatch_spread
-            for _ in range(config.scores_per_cell):
-                subject = counter % config.n_subjects
-                if label == MATCH:
-                    ref = subject
-                else:
-                    ref = (subject + 1 + counter % (config.n_subjects - 1)) % config.n_subjects
-                if config.quality_jitter > 0:
-                    quality = anchor_arr + config.quality_jitter * rng.standard_normal(dim)
-                else:
-                    quality = anchor_arr
-                score = float(rng.normal(mean_fn(quality), spread))
-                if not (math.isfinite(score) and np.all(np.isfinite(quality))):
-                    raise ValidationError(
-                        f"synthesized record {counter + 1} has a non-finite quality or "
-                        "score: the settings overflow"
-                    )
-                records.append(
-                    VerificationRecord(
-                        probe_id=f"s{subject:04d}",
-                        ref_id=f"s{ref:04d}",
-                        score=score,
-                        label=label,
-                        quality=tuple(float(v) for v in quality),
-                    )
-                )
-                counter += 1
-    return RecordSet(tuple(records), dim)
+    per_cell, jitter = config.scores_per_cell, config.quality_jitter
+    laws = ((model.match_base, model.match_gain, model.match_spread),
+            (model.nonmatch_base, model.nonmatch_gain, model.nonmatch_spread))
+    qualities, scores = [], []
+    for anchor in np.asarray(config.quality_grid, dtype=float):
+        for base, gain, spread in laws:
+            if jitter > 0:  # per record, d quality normals, then the score's
+                draws = rng.standard_normal((per_cell, dim + 1))
+                qualities.append(anchor + jitter * draws[:, :dim])
+                scores.append(base + gain * qualities[-1].mean(axis=1) + spread * draws[:, dim])
+            else:
+                qualities.append(np.tile(anchor, (per_cell, 1)))
+                scores.append(rng.normal(base + gain * np.mean(anchor), spread, per_cell))
+    quality, score = np.concatenate(qualities), np.concatenate(scores)
+    bad = ~(np.isfinite(score) & np.isfinite(quality).all(axis=1))
+    if bad.any():
+        raise ValidationError(f"synthesized record {int(bad.argmax()) + 1} has a non-finite "
+                              "quality or score: the settings overflow")
+    n = config.n_subjects
+    is_match = np.tile(np.repeat([True, False], per_cell), len(config.quality_grid))
+    subjects = [c % n for c in range(score.size)]
+    refs = [s if m else (s + 1 + c % (n - 1)) % n
+            for c, (s, m) in enumerate(zip(subjects, is_match.tolist()))]
+    return _record_set(RecordColumns([f"s{s:04d}" for s in subjects],
+                                     [f"s{r:04d}" for r in refs],
+                                     score, is_match, quality, False))

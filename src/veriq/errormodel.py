@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import MATCH, RecordSet
+from .dataio import RecordSet, _match_flags
 from .errors import ValidationError
 from .quality import QualityRegion
 
@@ -79,9 +79,7 @@ def count_outcomes(scores, labels, threshold: float):
     scores = np.asarray(scores, dtype=float)
     if scores.size == 0:
         raise ValidationError("need at least one score")
-    is_match = np.asarray(
-        [lbl == MATCH if isinstance(lbl, str) else bool(lbl) for lbl in labels]
-    )
+    is_match = _match_flags(labels)
     if is_match.shape != scores.shape:
         raise ValidationError("scores and labels must align")
     match_scores = scores[is_match]

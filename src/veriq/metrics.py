@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import write_csv
+from .dataio import _match_flags, write_csv
 from .errormodel import OperatingPoint
 from .errors import NumericError, ValidationError
 
@@ -233,9 +233,7 @@ def erc(
     if not rows:
         raise ValidationError("need at least one attempt")
     scores = np.array([float(r[0]) for r in rows])
-    labels = np.array(
-        [r[1] == "match" if isinstance(r[1], str) else bool(r[1]) for r in rows]
-    )
+    labels = _match_flags(r[1] for r in rows)
     predicted = np.array([float(r[2]) for r in rows])
     if not np.all(np.isfinite(predicted)):
         raise ValidationError("predicted errors must be finite")

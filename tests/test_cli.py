@@ -669,7 +669,8 @@ def test_erc_requires_exactly_one_threshold_source(tmp_path, capsys):
     [([], "exactly one"), (["--threshold", "1.0", "--fmr", "0.1"], "exactly one"),
      (["--fmr", "0"], "--fmr"), (["--fmr", "1.5"], "--fmr"), (["--fmr", "nan"], "--fmr")]
     + [(["--fmr", "0.05", "--grid-step", step], "--grid-step")
-       for step in ("0", "-0.5", "1.5", "nan")],
+       for step in ("0", "-0.5", "1.5", "nan")]
+    + [(["--threshold", value], "--threshold") for value in ("nan", "inf")],
 )
 def test_erc_rejects_bad_flags_before_reading(tmp_path, capsys, flags, message):
     # the attempts file does not exist: a usage error proves nothing was read
@@ -788,13 +789,11 @@ def _dict_grouping_cmd_sweep(args):
     param_names = (
         ("theta", "tx", "ty") if args.mode == "fixed" else ("sigma_x", "sigma_y", "seed")
     )
-    rows = dataio._read_rows(
-        cli._read_text(args.scores).splitlines(),
-        param_names + ("score", "label"),
-        (dataio.NUMBER,) * (len(param_names) + 1) + (dataio.LABEL,),
-    )
     tables = {}
-    for *key, score, label in rows:
+    # the files are valid: a header, then one row per line
+    for line in cli._read_text(args.scores).splitlines()[1:]:
+        *numbers, label = line.split(",")
+        *key, score = map(float, numbers)
         match_list, nonmatch_list = tables.setdefault(tuple(key), ([], []))
         (match_list if label == dataio.MATCH else nonmatch_list).append(score)
     cells, skipped = alignment.sweep_grid(tables, sorted(tables.keys()))
@@ -891,6 +890,25 @@ def test_ium_with_self_comparison(tmp_path, capsys):
     lines = dest.read_text().splitlines()
     assert lines[0] == "subject_id,u,n_impostors"
     assert len(lines) == 4
+
+
+@pytest.mark.parametrize(
+    "compare", [None, "probe_id,ref_id\n", IUM_RECORDS + "s4,w1,x,nonmatch,0.0\n"],
+    ids=["absent", "bad-header", "bad-line"],
+)
+def test_ium_compare_failure_writes_and_prints_nothing(tmp_path, capsys, compare):
+    records = tmp_path / "records.csv"
+    records.write_text(IUM_RECORDS)
+    other = tmp_path / "other.csv"
+    if compare is not None:  # otherwise absent
+        other.write_text(compare)
+    dest = tmp_path / "ium.csv"
+    code, stdout, _ = run(
+        ["ium", str(records), "--out", str(dest), "--compare", str(other)], capsys
+    )
+    assert code == 1
+    assert stdout == ""
+    assert not dest.exists()
 
 
 def test_ium_without_usable_subjects(tmp_path, capsys):

@@ -209,6 +209,56 @@ def test_identifier_with_delimiter_is_refused():
         records_to_text(rs)
 
 
+def _per_row_records_text(records):
+    """records_to_text as it wrote one record at a time: the reference."""
+    m = records.quality_dim // 2 if records.ref_quality else records.quality_dim
+    header = ["probe_id", "ref_id", "score", "label"] + [f"q{i}" for i in range(1, m + 1)]
+    if records.ref_quality:
+        header += [f"g{i}" for i in range(1, m + 1)]
+    lines = [",".join(header)]
+    for rec in records.records:
+        for ident in (rec.probe_id, rec.ref_id):
+            if "," in ident or "\n" in ident or "\r" in ident:
+                raise ValidationError(f"identifier {ident!r} contains a delimiter")
+        row = [rec.probe_id, rec.ref_id, repr(float(rec.score)), rec.label]
+        row.extend(repr(float(v)) for v in rec.quality)
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+# floats and ints, as a caller may put either in a record
+_NUMBER_FIELDS = _float_strategy | st.integers(-10**20, 10**20)
+
+
+@st.composite
+def _loose_record_sets(draw):
+    """Record sets with int or float scores and quality, and now and then an
+    identifier holding a delimiter."""
+    ref_quality = draw(st.booleans())
+    dim = draw(st.integers(min_value=1, max_value=3)) * (2 if ref_quality else 1)
+    ident = _id_strategy | st.sampled_from(["a,b", "x\n", "\ry", ","])
+    rows = [
+        VerificationRecord(draw(ident), draw(ident), draw(_NUMBER_FIELDS),
+                           draw(st.sampled_from([MATCH, NONMATCH])),
+                           tuple(draw(_NUMBER_FIELDS) for _ in range(dim)))
+        for _ in range(draw(st.integers(min_value=0, max_value=10)))
+    ]
+    return RecordSet(tuple(rows), dim, ref_quality)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_loose_record_sets())
+def test_records_to_text_equals_the_per_row_reference(rs):
+    try:
+        expected = _per_row_records_text(rs)
+    except ValidationError as exc:
+        with pytest.raises(ValidationError) as excinfo:
+            records_to_text(rs)
+        assert str(excinfo.value) == str(exc)
+        return
+    assert records_to_text(rs) == expected
+
+
 def test_recordset_validates_quality_length():
     with pytest.raises(ValidationError):
         _rs([VerificationRecord("a", "b", 1.0, MATCH, (0.0,))])
@@ -415,6 +465,10 @@ def _assert_columns_read(columns, kinds, good):
             assert list(got) == [t.strip() for t in tokens]
 
 
+# The line breaks of str.splitlines() that are no "\n"
+_OTHER_LINE_ENDS = ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
 @pytest.mark.parametrize("name", sorted(_FORMATS))
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
@@ -423,29 +477,31 @@ def test_every_format_reports_exactly_its_bad_lines(name, data):
     if parse is None:
         parse = lambda text: read_columns(text, header.split(","), kinds)  # noqa: E731
     lines, bad, good = data.draw(_csv_bodies(kinds))
-    # "\x85" ends a line for str.splitlines() but is no "\n"
-    line_ends = ["\n", "\r\n"] + (["\x85"] if data.draw(st.booleans()) else [])
+    all_lines = [header] + lines
+    # with other line ends, lines may outnumber the "\n"s
+    line_ends = ["\n", "\r\n"] + (_OTHER_LINE_ENDS if data.draw(st.booleans()) else [])
     ends = data.draw(st.lists(st.sampled_from(line_ends),
-                              min_size=len(lines) + 1, max_size=len(lines) + 1))
-    text = "".join(line + end for line, end in zip([header] + lines, ends))
+                              min_size=len(all_lines), max_size=len(all_lines)))
+    for i in range(1, len(ends)):
+        # "\r" then an empty line's "\n" would be one "\r\n"
+        if ends[i - 1] == "\r" and all_lines[i] == "" and ends[i] == "\n":
+            ends[i] = "\r\n"
+    text = "".join(line + end for line, end in zip(all_lines, ends))
     # small chunks, so that chunk cuts fall between and inside lines
     chunk_chars = data.draw(st.integers(min_value=1, max_value=48))
     with mock.patch.object(dataio, "_CHUNK_CHARS", chunk_chars):
         bulk = dataio._bulk_columns(text, header.split(","), kinds)
         if not bad:
+            assert bulk is not None
+            _assert_columns_read(bulk, kinds, good)
             _assert_columns_read(parse(text), kinds, good)
-            if "\x85" not in ends:  # then lines may outnumber the "\n"s
-                assert bulk is not None
-                _assert_columns_read(bulk, kinds, good)
             return
         assert bulk is None
         with pytest.raises(RecordsError) as excinfo:
             parse(text)
     errors = excinfo.value.errors
     assert [int(msg.split(":")[0].removeprefix("line ")) for msg in errors] == bad
-    with pytest.raises(RecordsError) as per_line:
-        list(dataio._read_rows(text.splitlines(), header.split(","), kinds))
-    assert errors == per_line.value.errors
+    assert errors == dataio._line_errors(text.splitlines(), header.split(","), kinds)
 
 
 @pytest.mark.parametrize("end", ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
@@ -582,3 +638,62 @@ def test_synth_quality_jitter_spreads_anchor_values():
         SynthConfig(5, 10, grid, ScoreModel(), seed=2, quality_jitter=0.1)
     )
     assert len({rec.quality for rec in jittered.records}) > len(grid)
+
+
+def _per_record_synth(config):
+    """synthesize_dataset as it drew one record at a time: the reference."""
+    rng = np.random.default_rng(config.seed)
+    dim = len(config.quality_grid[0])
+    model = config.score_model
+    records = []
+    counter = 0
+    for anchor in config.quality_grid:
+        anchor_arr = np.asarray(anchor, dtype=float)
+        for label in (MATCH, NONMATCH):
+            mean_fn = model.match_mean if label == MATCH else model.nonmatch_mean
+            spread = model.match_spread if label == MATCH else model.nonmatch_spread
+            for _ in range(config.scores_per_cell):
+                subject = counter % config.n_subjects
+                if label == MATCH:
+                    ref = subject
+                else:
+                    ref = (subject + 1 + counter % (config.n_subjects - 1)) % config.n_subjects
+                if config.quality_jitter > 0:
+                    quality = anchor_arr + config.quality_jitter * rng.standard_normal(dim)
+                else:
+                    quality = anchor_arr
+                score = float(rng.normal(mean_fn(quality), spread))
+                records.append(VerificationRecord(
+                    f"s{subject:04d}", f"s{ref:04d}", score, label,
+                    tuple(float(v) for v in quality),
+                ))
+                counter += 1
+    return RecordSet(tuple(records), dim)
+
+
+_SYNTH_FIELDS = st.floats(min_value=-5, max_value=5, allow_nan=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.integers(min_value=1, max_value=4),
+    n_anchors=st.integers(min_value=1, max_value=3),
+    n_subjects=st.integers(min_value=2, max_value=7),
+    scores_per_cell=st.integers(min_value=1, max_value=6),
+    jitter=st.just(0.0) | st.floats(min_value=1e-3, max_value=2.0),
+    seed=st.integers(min_value=0, max_value=2**32),
+    data=st.data(),
+)
+def test_synth_equals_the_per_record_reference(dim, n_anchors, n_subjects,
+                                               scores_per_cell, jitter, seed, data):
+    grid = tuple(tuple(data.draw(_SYNTH_FIELDS) for _ in range(dim))
+                 for _ in range(n_anchors))
+    bases_gains = [data.draw(_SYNTH_FIELDS) for _ in range(4)]
+    spreads = [data.draw(st.floats(min_value=0.01, max_value=3.0)) for _ in range(2)]
+    model = ScoreModel(bases_gains[0], bases_gains[1], spreads[0],
+                       bases_gains[2], bases_gains[3], spreads[1])
+    config = SynthConfig(n_subjects, scores_per_cell, grid, model, seed, jitter)
+    got, expected = synthesize_dataset(config), _per_record_synth(config)
+    assert got.scores().tobytes() == expected.scores().tobytes()
+    assert got.quality_matrix().tobytes() == expected.quality_matrix().tobytes()
+    assert got.records == expected.records
