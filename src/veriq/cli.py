@@ -10,6 +10,7 @@ flags. Exit codes: 0 success, 1 validation failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import math
@@ -29,10 +30,51 @@ _MAX_FIT_REGIONS = 10**5
 _MAX_GRID_ROWS = 10**6
 _MAX_TRAINING_ROWS = 10**6
 _MAX_MASK_BYTES = 10**8  # quality.build_regions' per-axis interval masks
+# veriq fit refuses a larger --k-max: model_search lists every (K, family)
+# cell before it fits any.
+_MAX_K = 100
+# veriq erc refuses a finer --grid-step: metrics.erc builds 1/step + 1 points.
+_MIN_GRID_STEP = 1e-6
 
 
 class UsageError(Exception):
     """Semantically invalid flag combination."""
+
+
+def _at_least(flag: str, low: int):
+    return flag, lambda value: value >= low, f"{flag} must be >= {low}"
+
+
+# Every flag's domain: a row names its flags, a test of their values and the
+# usage error's message. main checks each row whose flags the parsed namespace
+# has (a one-flag row skips a flag left at None) before any file is touched.
+# nan fails every comparison, so no test admits it. The library checks synth's
+# --n-subjects, spreads, jitter and anchors before any work (exit 1).
+_FLAG_RULES = (
+    ("--k-min --k-max", lambda lo, hi: 1 <= lo <= hi, "require 1 <= --k-min <= --k-max"),
+    ("--k-max", lambda k: k <= _MAX_K, f"--k-max must be <= {_MAX_K}"),
+    _at_least("--max-iter", 1),
+    ("--tol", lambda v: v > 0, "--tol must be positive"),
+    ("--alpha", lambda v: 0 < v < 1, "--alpha must lie strictly between 0 and 1"),
+    _at_least("--grid-points", 1),
+    _at_least("--min-members", 0),
+    ("--threshold --fmr", lambda threshold, fmr: (threshold is None) != (fmr is None),
+     "give exactly one of --threshold or --fmr"),
+    ("--fmr", lambda v: 0 < v < 1, "--fmr must lie strictly between 0 and 1"),
+    ("--threshold", math.isfinite, "--threshold must be finite"),
+    ("--grid-step", lambda v: 0 < v <= 1, "--grid-step must lie in (0, 1]"),
+    ("--grid-step", lambda v: v >= _MIN_GRID_STEP,
+     f"--grid-step must be >= {_MIN_GRID_STEP}"),
+    ("--mode --n-qs", lambda mode, n_qs: mode != "grid" or n_qs >= 3,
+     "--n-qs must be >= 3 in grid mode"),
+    _at_least("--n-rand", 1),
+    ("--prior-a", lambda v: 0 < v < math.inf, "--prior-a must be finite and positive"),
+    ("--prior-b", lambda v: 0 < v < math.inf, "--prior-b must be finite and positive"),
+    _at_least("--axes", 1),
+    _at_least("--anchors-per-axis", 1),
+    _at_least("--scores-per-cell", 1),
+    _at_least("--seed", 0),
+)
 
 
 def _read_text(path: str) -> str:
@@ -41,6 +83,10 @@ def _read_text(path: str) -> str:
             return handle.read()
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(
+            f"cannot read {path}: not UTF-8 at byte offset {exc.start}: {exc.reason}"
+        ) from exc
 
 
 def _check_outputs(*paths) -> None:
@@ -51,11 +97,6 @@ def _check_outputs(*paths) -> None:
             raise ValidationError(f"cannot write {path}: no directory {directory}")
         if os.path.isdir(path):
             raise ValidationError(f"cannot write {path}: is a directory")
-
-
-def _check_fmr(fmr: float) -> None:
-    if not 0 < fmr < 1:  # also rejects nan
-        raise UsageError("--fmr must lie strictly between 0 and 1")
 
 
 def _parse_cov_models(spec: str) -> list[str]:
@@ -126,26 +167,6 @@ def _regions_and_grid(records, args):
 
 
 def cmd_fit(args) -> int:
-    if args.k_min < 1 or args.k_max < args.k_min:
-        raise UsageError("require 1 <= --k-min <= --k-max")
-    if args.max_iter < 1:
-        raise UsageError("--max-iter must be >= 1")
-    if not args.tol > 0:  # also rejects nan
-        raise UsageError("--tol must be positive")
-    if not 0 < args.alpha < 1:  # also rejects nan
-        raise UsageError("--alpha must lie strictly between 0 and 1")
-    if args.grid_points < 1:
-        raise UsageError("--grid-points must be >= 1")
-    if args.min_members < 0:
-        raise UsageError("--min-members must be >= 0")
-    _check_fmr(args.fmr)
-    if args.mode == "grid" and args.n_qs < 3:
-        raise UsageError("--n-qs must be >= 3 in grid mode")
-    if args.n_rand < 1:
-        raise UsageError("--n-rand must be >= 1")
-    for flag, value in (("--prior-a", args.prior_a), ("--prior-b", args.prior_b)):
-        if not 0 < value < math.inf:  # also rejects nan
-            raise UsageError(f"{flag} must be finite and positive")
     families = _parse_cov_models(args.cov_models)
     _check_outputs(args.out_model, args.out_bic, args.out_grid, args.out_regions,
                    args.out_posteriors)
@@ -194,28 +215,13 @@ def cmd_fit(args) -> int:
     if args.out_posteriors:
         rows = []
         for region in regions:
-            fnmr_post, fmr_post = errormodel.region_posteriors(
-                records, region, threshold, prior
-            )
-            fnmr_lo, fnmr_hi = errormodel.credible_interval(fnmr_post, args.alpha)
-            fmr_lo, fmr_hi = errormodel.credible_interval(fmr_post, args.alpha)
-            rows.append(
-                (
-                    region.region_id,
-                    region.n_members,
-                    fnmr_post.mean, fnmr_lo, fnmr_hi,
-                    fmr_post.mean, fmr_lo, fmr_hi,
-                )
-            )
-        dataio.write_csv(
-            args.out_posteriors,
-            [
-                "region_id", "n_members",
-                "fnmr_mean", "fnmr_lo", "fnmr_hi",
-                "fmr_mean", "fmr_lo", "fmr_hi",
-            ],
-            rows,
-        )
+            row = [region.region_id, region.n_members]
+            for post in errormodel.region_posteriors(records, region, threshold, prior):
+                row += (post.mean, *errormodel.credible_interval(post, args.alpha))
+            rows.append(row)
+        dataio.write_csv(args.out_posteriors, ["region_id", "n_members"] + [
+            f"{rate}_{stat}" for rate in ("fnmr", "fmr") for stat in ("mean", "lo", "hi")
+        ], rows)
     print(f"threshold={operating_point.threshold!r}")
     print(f"achieved_fmr={achieved!r}")
     print(f"regions={len(regions)}")
@@ -260,14 +266,6 @@ def cmd_roc(args) -> int:
 
 
 def cmd_erc(args) -> int:
-    if (args.threshold is None) == (args.fmr is None):
-        raise UsageError("give exactly one of --threshold or --fmr")
-    if args.fmr is not None:
-        _check_fmr(args.fmr)
-    if args.threshold is not None and not math.isfinite(args.threshold):
-        raise UsageError("--threshold must be finite")
-    if not 0 < args.grid_step <= 1:  # also rejects nan
-        raise UsageError("--grid-step must lie in (0, 1]")
     scores, is_match, predicted = dataio.read_columns(
         _read_text(args.attempts),
         ("score", "label", "predicted_error"),
@@ -352,12 +350,6 @@ def cmd_ium(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    if args.axes < 1:
-        raise UsageError("--axes must be >= 1")
-    if args.anchors_per_axis < 1:
-        raise UsageError("--anchors-per-axis must be >= 1")
-    if args.scores_per_cell < 1:
-        raise UsageError("--scores-per-cell must be >= 1")
     # past 64 axes, 2 or more anchors per axis exceed the cap anyway
     n_records = args.anchors_per_axis ** min(args.axes, 64) * args.scores_per_cell * 2
     if n_records * args.axes > _MAX_SYNTH_VALUES:
@@ -367,18 +359,10 @@ def cmd_synth(args) -> int:
             f"over {_MAX_SYNTH_VALUES} quality values"
         )
     with np.errstate(over="ignore", invalid="ignore"):  # SynthConfig rejects non-finite
-        axis = np.linspace(args.anchor_lo, args.anchor_hi, args.anchors_per_axis)
-    anchors = tuple(
-        tuple(float(v) for v in combo)
-        for combo in itertools.product(axis, repeat=args.axes)
-    )
+        axis = np.linspace(args.anchor_lo, args.anchor_hi, args.anchors_per_axis).tolist()
+    anchors = tuple(itertools.product(axis, repeat=args.axes))
     model = dataio.ScoreModel(
-        match_base=args.match_base,
-        match_gain=args.match_gain,
-        match_spread=args.match_spread,
-        nonmatch_base=args.nonmatch_base,
-        nonmatch_gain=args.nonmatch_gain,
-        nonmatch_spread=args.nonmatch_spread,
+        **{f.name: getattr(args, f.name) for f in dataclasses.fields(dataio.ScoreModel)}
     )
     config = dataio.SynthConfig(
         n_subjects=args.n_subjects,
@@ -425,8 +409,15 @@ def cmd_calibrate_iqa(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors are one ``usage error:`` line, exit 2."""
+
+    def error(self, message):
+        self.exit(2, f"usage error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="veriq",
         description="Quality-driven prediction and evaluation of face verification",
     )
@@ -502,12 +493,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scores-per-cell", type=int, default=20)
     p.add_argument("--n-subjects", type=int, default=50)
     p.add_argument("--quality-jitter", type=float, default=0.0)
-    p.add_argument("--match-base", type=float, default=3.0)
-    p.add_argument("--match-gain", type=float, default=2.0)
-    p.add_argument("--match-spread", type=float, default=0.5)
-    p.add_argument("--nonmatch-base", type=float, default=0.0)
-    p.add_argument("--nonmatch-gain", type=float, default=0.0)
-    p.add_argument("--nonmatch-spread", type=float, default=0.5)
+    for field in dataclasses.fields(dataio.ScoreModel):  # --match-base, ...
+        p.add_argument(f"--{field.name.replace('_', '-')}", type=float,
+                       default=field.default)
     p.add_argument("--seed", type=int, required=True)
     p.set_defaults(func=cmd_synth)
 
@@ -521,9 +509,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        for flags, holds, message in _FLAG_RULES:
+            names = [flag[2:].replace("-", "_") for flag in flags.split()]
+            if all(hasattr(args, name) for name in names):
+                values = [getattr(args, name) for name in names]
+                if values != [None] and not holds(*values):
+                    raise UsageError(message)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

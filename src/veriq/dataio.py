@@ -310,9 +310,12 @@ def records_to_text(records: RecordSet) -> str:
     """The records as CSV text; scores and quality go through ``float()``."""
     probe_ids = [rec.probe_id for rec in records.records]
     ref_ids = [rec.ref_id for rec in records.records]
+    # parse_records splits lines where str.splitlines does and strips cells
     for ident in itertools.chain.from_iterable(zip(probe_ids, ref_ids)):
-        if "," in ident or "\n" in ident or "\r" in ident:
+        if "," in ident or "".join(ident.splitlines()) != ident:
             raise ValidationError(f"identifier {ident!r} contains a delimiter")
+        if ident != ident.strip():
+            raise ValidationError(f"identifier {ident!r} has surrounding whitespace")
     return _csv_text(
         list(_FIXED_COLUMNS) + _quality_header(records.quality_dim, records.ref_quality),
         [probe_ids, ref_ids, records.scores().tolist(),

@@ -990,4 +990,6 @@ def load_model_json(text: str) -> tuple[MixtureModel, OperatingPoint | None]:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"model file is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ValidationError("model file nests too deeply") from exc
     return model_from_dict(doc)

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import multiprocessing
 import os
 import subprocess
@@ -89,6 +90,17 @@ def test_validate_missing_file(tmp_path, capsys):
     assert "validation error" in err
 
 
+def test_an_input_that_is_not_utf8_is_one_validation_error(tmp_path, capsys):
+    # the byte sits past the first 8 KiB, so the offset is the file's, not a buffer's
+    path = tmp_path / "records.csv"
+    head = "probe_id,ref_id,score,label,q1\n" + "a,b,1.0,match,0.5\n" * 500
+    path.write_bytes(head.encode() + b"a,\xffb,1.0,match,0.5\n")
+    code, out, err = run(["validate", str(path)], capsys)
+    assert code == 1 and out == ""
+    assert err == (f"validation error: cannot read {path}: not UTF-8 at byte offset "
+                   f"{len(head) + 2}: invalid start byte\n")
+
+
 def test_synth_is_byte_deterministic(tmp_path, capsys):
     a, out_a = synth(tmp_path, capsys, "a.csv")
     b, _ = synth(tmp_path, capsys, "b.csv")
@@ -130,7 +142,7 @@ def test_synth_rejects_settings_that_overflow(tmp_path, capsys, extra):
     "extra",
     [("--axes", "40", "--anchors-per-axis", "2"),
      ("--axes", "1000000000", "--anchors-per-axis", "1"),
-     ("--axes", "0"), ("--axes", "-1"), ("--scores-per-cell", "0")],
+     ("--axes", "0"), ("--axes", "-1"), ("--scores-per-cell", "0"), ("--seed", "-1")],
 )
 def test_synth_rejects_oversized_or_empty_requests(tmp_path, capsys, extra):
     # 2^40 anchors or 10^9 axes would exhaust memory; the check comes first
@@ -139,6 +151,14 @@ def test_synth_rejects_oversized_or_empty_requests(tmp_path, capsys, extra):
     assert code == 2
     assert err.startswith("usage error:") and len(err.splitlines()) == 1
     assert not dest.exists()
+
+
+def test_a_flag_argparse_cannot_read_is_one_usage_error_line(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["fit", "absent.csv", "--seed", "1", "--n-qs", "nan"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        "usage error: argument --n-qs: invalid int value: 'nan'\n")
 
 
 def test_seed_is_required(tmp_path, capsys):
@@ -364,7 +384,7 @@ def test_fit_rejects_bad_output_settings_before_writing(tmp_path, capsys, flag, 
     [("--prior-a", "nan"), ("--prior-a", "inf"), ("--prior-a", "0"),
      ("--prior-b", "nan"), ("--prior-b", "-1"), ("--min-members", "-1"),
      ("--fmr", "0"), ("--fmr", "1"), ("--fmr", "-0.5"), ("--fmr", "nan"),
-     ("--n-qs", "2"), ("--n-rand", "0")],
+     ("--n-qs", "2"), ("--n-rand", "0"), ("--seed", "-1")],
 )
 def test_fit_rejects_bad_priors_and_min_members_before_reading(tmp_path, capsys,
                                                               flag, value):
@@ -424,6 +444,21 @@ def test_fit_past_a_size_cap_exits_2_before_writing(tmp_path, capsys, monkeypatc
     assert list(out.iterdir()) == []
 
 
+def test_fit_past_the_k_max_cap_exits_2_before_reading(tmp_path, capsys, monkeypatch):
+    # the cap is lowered, so a broken check lists and fits few cells
+    records, _ = synth(tmp_path, capsys)
+    monkeypatch.setattr(cli, "_MAX_K", 2)
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = ["fit", str(records), *FIT_FLAGS, "--k-max", "3",
+            "--out-model", str(out / "model.json"), "--out-bic", str(out / "bic.csv"),
+            "--out-grid", str(out / "grid.csv")]
+    code, stdout, err = run(argv, capsys)
+    assert code == 2 and stdout == ""
+    assert err.startswith("usage error: --k-max must be <= ") and len(err.splitlines()) == 1
+    assert list(out.iterdir()) == []
+
+
 def test_predict_matches_library_conditioning(fitted, tmp_path, capsys):
     _, out, _ = fitted
     queries = np.array([[0.1, 0.2], [0.5, 0.5], [0.9, 0.4]])
@@ -470,6 +505,18 @@ def test_predict_rejects_wrong_quality_dimension(fitted, tmp_path, capsys):
     )
     assert code == 1
     assert "expects 2" in err
+
+
+def test_predict_refuses_a_model_file_nested_too_deeply(tmp_path, capsys):
+    model_path = tmp_path / "model.json"
+    model_path.write_text("[" * 100_000)
+    qpath = tmp_path / "queries.csv"
+    qpath.write_text("q1,q2\n0.5,0.5\n")
+    out = tmp_path / "predictions.csv"
+    code, stdout, err = run(["predict", str(model_path), str(qpath), "--out", str(out)],
+                            capsys)
+    assert (code, stdout, err) == (1, "", "validation error: model file nests too deeply\n")
+    assert not out.exists()
 
 
 _MODEL_KEYS = ("version", "d_q", "d_r", "parametrization", "weights", "means",
@@ -670,7 +717,8 @@ def test_erc_requires_exactly_one_threshold_source(tmp_path, capsys):
      (["--fmr", "0"], "--fmr"), (["--fmr", "1.5"], "--fmr"), (["--fmr", "nan"], "--fmr")]
     + [(["--fmr", "0.05", "--grid-step", step], "--grid-step")
        for step in ("0", "-0.5", "1.5", "nan")]
-    + [(["--threshold", value], "--threshold") for value in ("nan", "inf")],
+    + [(["--threshold", value], "--threshold") for value in ("nan", "inf")]
+    + [(["--fmr", "0.05", "--grid-step", step], "--grid-step") for step in ("5e-324", "1e-9")],
 )
 def test_erc_rejects_bad_flags_before_reading(tmp_path, capsys, flags, message):
     # the attempts file does not exist: a usage error proves nothing was read
@@ -1137,3 +1185,71 @@ def test_a_mutated_input_file_ends_in_an_exit_code_and_prefixed_messages(command
     assert all(line.startswith(_PREFIXES) for line in err.splitlines())
     if code != 0:
         assert err and not outputs
+
+
+# ------------------------------------------------------ flag edge values
+
+# Every numeric flag with the bounds of its domain, written out here rather
+# than read from cli._FLAG_RULES. Each is tried at 0, -1, nan, +-inf, 2^64, at
+# each bound and one step (1, or one ulp) either side of it.
+_NUMERIC_FLAGS = {
+    "fit": {"--n-qs": (int, [3]), "--n-rand": (int, [1]), "--fmr": (float, [0, 1]),
+            "--prior-a": (float, [0, math.inf]), "--prior-b": (float, [0, math.inf]),
+            "--alpha": (float, [0, 1]), "--k-min": (int, [1]), "--k-max": (int, [1, 100]),
+            "--min-members": (int, [0]), "--grid-points": (int, [1]),
+            "--tol": (float, [0]), "--max-iter": (int, [1]), "--seed": (int, [0])},
+    "erc": {"--threshold": (float, []), "--fmr": (float, [0, 1]),
+            "--grid-step": (float, [0, 1e-6, 1])},
+    "synth": {"--axes": (int, [1]), "--anchors-per-axis": (int, [1]),
+              "--anchor-lo": (float, []), "--anchor-hi": (float, []),
+              "--scores-per-cell": (int, [1]), "--n-subjects": (int, [2]),
+              "--quality-jitter": (float, [0]),
+              "--match-base": (float, []), "--match-gain": (float, []),
+              "--match-spread": (float, [0]), "--nonmatch-base": (float, []),
+              "--nonmatch-gain": (float, []), "--nonmatch-spread": (float, [0]),
+              "--seed": (int, [0])},
+}
+
+
+def _edge_values(kind, bounds):
+    values = ["0", "-1", "nan", "inf", "-inf", str(2**64)]
+    for bound in bounds:
+        if kind is int:
+            values += [str(bound - 1), str(bound), str(bound + 1)]
+        else:
+            values += [repr(math.nextafter(bound, -math.inf)), repr(float(bound)),
+                       repr(math.nextafter(bound, math.inf))]
+    return values
+
+
+def _edge_argv(command, d):
+    """argv whose input files are absent, so an admitted fit or erc flag ends
+    at exit 1 before any work; synth reads no file."""
+    if command == "fit":
+        return ["fit", f"{d}/absent.csv", *FIT_FLAGS, "--out-model", f"{d}/model.json",
+                "--out-bic", f"{d}/bic.csv", "--out-grid", f"{d}/grid.csv"]
+    if command == "erc":
+        return ["erc", f"{d}/absent.csv", "--out", f"{d}/erc.csv"]
+    return ["synth", "--seed", "1", "--out", f"{d}/records.csv"]
+
+
+@pytest.mark.parametrize(
+    "command, flag", [(c, f) for c, flags in _NUMERIC_FLAGS.items() for f in flags]
+)
+def test_every_numeric_flag_edge_ends_in_an_exit_code_and_prefixed_messages(command, flag):
+    kind, bounds = _NUMERIC_FLAGS[command][flag]
+    extra = ["--fmr", "0.05"] if flag == "--grid-step" else []
+    for value in _edge_values(kind, bounds):
+        with tempfile.TemporaryDirectory() as d:
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                try:
+                    code = cli.main(_edge_argv(command, d) + extra + [f"{flag}={value}"])
+                except SystemExit as exc:  # argparse cannot read the value
+                    code = exc.code
+            written = list(Path(d).iterdir())
+        err = err.getvalue()
+        assert code in ((0, 1, 2, 3) if command == "synth" else (1, 2)), (value, err)
+        assert all(line.startswith(_PREFIXES) for line in err.splitlines()), (value, err)
+        if code != 0:
+            assert err and not written, (value, err)

@@ -209,6 +209,40 @@ def test_identifier_with_delimiter_is_refused():
         records_to_text(rs)
 
 
+@pytest.mark.parametrize(
+    "ident, why",
+    [("a\nb", "delimiter"), ("a\x85b", "delimiter"),
+     ("a\u2028b", "delimiter"), ("a\x0cb", "delimiter"), ("a\x1eb", "delimiter"),
+     ("a\r", "delimiter"), (" a", "whitespace"), ("a\t", "whitespace"),
+     ("\u3000a", "whitespace")],
+)
+def test_identifier_that_would_not_read_back_is_refused(ident, why):
+    for probe, ref in ((ident, "c"), ("c", ident)):
+        rs = _rs([VerificationRecord(probe, ref, 1.0, MATCH, (0.0, 0.0))])
+        with pytest.raises(ValidationError, match=why):
+            records_to_text(rs)
+
+
+# line ends, whitespace, commas and a few other characters, drawn often
+_awkward_ids = st.text(
+    alphabet=st.sampled_from(list("ab ,\t\n\r\x0b\x0c\x1c\x85\u2028\u3000\ufeff\x00"))
+    | st.characters(),
+    max_size=5,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_awkward_ids, _awkward_ids), min_size=1, max_size=4))
+def test_every_identifier_the_writer_accepts_reads_back_unchanged(ids):
+    rs = _rs([VerificationRecord(p, r, 1.0, MATCH, (0.0,)) for p, r in ids], quality_dim=1)
+    try:
+        text = records_to_text(rs)
+    except ValidationError:
+        return
+    back = parse_records(text)
+    assert [(rec.probe_id, rec.ref_id) for rec in back.records] == ids
+
+
 def _per_row_records_text(records):
     """records_to_text as it wrote one record at a time: the reference."""
     m = records.quality_dim // 2 if records.ref_quality else records.quality_dim
