@@ -228,6 +228,6 @@ def sweep_grid(score_tables: dict, grid) -> tuple[list[SweepCell], list[tuple]]:
 
 
 def write_sweep_csv(cells, sink, param_names=("theta", "tx", "ty")) -> None:
-    header = list(param_names) + ["hter", "auc"]
-    rows = [tuple(cell.params) + (cell.hter, cell.auc) for cell in cells]
-    write_csv(sink, header, rows)
+    params = [[cell.params[i] for cell in cells] for i in range(len(param_names))]
+    write_csv(sink, list(param_names) + ["hter", "auc"],
+              params + [[cell.hter for cell in cells], [cell.auc for cell in cells]])

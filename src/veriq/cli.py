@@ -33,7 +33,9 @@ _MAX_MASK_BYTES = 10**8  # quality.build_regions' per-axis interval masks
 # veriq fit refuses a larger --k-max: model_search lists every (K, family)
 # cell before it fits any.
 _MAX_K = 100
-# veriq erc refuses a finer --grid-step: metrics.erc builds 1/step + 1 points.
+# EM holds two (K, d + 2, training rows) float64 buffers: 800 MB at this cap.
+_MAX_EM_VALUES = 5 * 10**7
+# veriq erc refuses a finer --grid-step: metrics.erc_columns builds 1/step + 1 points.
 _MIN_GRID_STEP = 1e-6
 
 
@@ -80,13 +82,16 @@ _FLAG_RULES = (
 def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
+            text = handle.read()
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ValidationError(
             f"cannot read {path}: not UTF-8 at byte offset {exc.start}: {exc.reason}"
         ) from exc
+    if text.startswith("\ufeff"):
+        raise ValidationError(f"cannot read {path}: starts with a UTF-8 byte-order mark")
+    return text
 
 
 def _check_outputs(*paths) -> None:
@@ -153,8 +158,6 @@ def _regions_and_grid(records, args):
     interior quantile points."""
     if args.mode == "cluster":
         regions = quality.cluster_regions(records, min_members=args.min_members)
-        _check_size(len(regions) * args.n_rand, _MAX_TRAINING_ROWS,
-                    f"regions x --n-rand = {len(regions)} x {args.n_rand} training rows")
         return regions, np.array([r.center for r in regions])
     _check_grid_fit_size(records.quality_dim, len(records), args.n_qs, args.grid_points,
                          args.n_rand)
@@ -179,6 +182,12 @@ def cmd_fit(args) -> int:
     threshold = operating_point.threshold
 
     regions, eval_grid = _regions_and_grid(records, args)
+    n_training, width = len(regions) * args.n_rand, records.quality_dim + 2
+    _check_size(n_training, _MAX_TRAINING_ROWS,
+                f"regions x --n-rand = {len(regions)} x {args.n_rand} training rows")
+    _check_size(args.k_max * n_training * width, _MAX_EM_VALUES,
+                f"--k-max x training rows x (d + 2) = {args.k_max} x {n_training} x {width}"
+                " EM workspace values")
     training = errormodel.qr_training_matrix(
         records, regions, threshold, args.n_rand, args.seed, prior
     )
@@ -195,33 +204,26 @@ def cmd_fit(args) -> int:
     dataio.atomic_write_text(
         args.out_model, mixture.dump_model_json(best, operating_point)
     )
-    dataio.write_csv(
-        args.out_bic,
-        ["k", "parametrization", "n_params", "loglik", "bic", "status"],
-        [
-            (c.k, c.parametrization, c.n_params, c.loglik, c.bic, c.status)
-            for c in table
-        ],
-    )
+    bic_header = ["k", "parametrization", "n_params", "loglik", "bic", "status"]
+    dataio.write_csv(args.out_bic, bic_header,
+                     [[getattr(c, name) for c in table] for name in bic_header])
     rates, _, _ = mixture.predict(best, eval_grid)
     q_names = [f"q{i}" for i in range(1, records.quality_dim + 1)]
-    dataio.write_csv(
-        args.out_grid, q_names + ["fmr_hat", "fnmr_hat"],
-        [tuple(point) + tuple(rate) for point, rate in zip(eval_grid.tolist(), rates.tolist())],
-    )
+    dataio.write_csv(args.out_grid, q_names + ["fmr_hat", "fnmr_hat"],
+                     [*eval_grid.T.tolist(), *rates.T.tolist()])
 
     if args.out_regions:
         quality.write_regions_csv(regions, args.out_regions)
     if args.out_posteriors:
-        rows = []
-        for region in regions:
-            row = [region.region_id, region.n_members]
-            for post in errormodel.region_posteriors(records, region, threshold, prior):
-                row += (post.mean, *errormodel.credible_interval(post, args.alpha))
-            rows.append(row)
+        posts = [errormodel.region_posteriors(records, r, threshold, prior) for r in regions]
+        columns = [[r.region_id for r in regions], [r.n_members for r in regions]]
+        for rate in (0, 1):  # FNMR, then FMR
+            bounds = [errormodel.credible_interval(p[rate], args.alpha) for p in posts]
+            columns += [[p[rate].mean for p in posts], [b[0] for b in bounds],
+                        [b[1] for b in bounds]]
         dataio.write_csv(args.out_posteriors, ["region_id", "n_members"] + [
             f"{rate}_{stat}" for rate in ("fnmr", "fmr") for stat in ("mean", "lo", "hi")
-        ], rows)
+        ], columns)
     print(f"threshold={operating_point.threshold!r}")
     print(f"achieved_fmr={achieved!r}")
     print(f"regions={len(regions)}")
@@ -244,12 +246,7 @@ def cmd_predict(args) -> int:
     dataio.write_csv(
         args.out,
         q_names + ["fmr_hat", "fnmr_hat", "fmr_clamped", "fnmr_clamped", "top_component"],
-        [
-            tuple(point) + tuple(rate) + tuple(flags) + (component,)
-            for point, rate, flags, component in zip(
-                queries.tolist(), rates.tolist(), clamped.tolist(), top.tolist()
-            )
-        ],
+        [*queries.T.tolist(), *rates.T.tolist(), *clamped.T.tolist(), top.tolist()],
     )
     print(f"predictions={len(queries)}")
     print(f"clamped={int(np.count_nonzero(clamped.any(axis=1)))}")
@@ -278,8 +275,8 @@ def cmd_erc(args) -> int:
     else:
         point, _ = metrics.threshold_for_fmr(scores[~is_match], args.fmr)
         threshold = point.threshold
-    attempts = zip(scores.tolist(), is_match.tolist(), predicted.tolist())
-    curve = metrics.erc(attempts, threshold, args.error_kind, args.grid_step)
+    curve = metrics.erc_columns(scores, is_match, predicted, threshold, args.error_kind,
+                                args.grid_step)
     metrics.write_erc_csv(curve, args.out)
     print(f"threshold={threshold!r}")
     print(f"baseline_error={float(curve.residual[0])!r}")
@@ -395,16 +392,11 @@ def cmd_calibrate_iqa(args) -> int:
         "residual_orthogonality": calibration.residual_orthogonality(),
     }
     dataio.atomic_write_text(args.out_solution, json.dumps(doc, indent=2) + "\n")
-    out_rows = []
-    for row in rows:
-        mapped = quality.apply_iqa_calibration(calibration, row)
-        out_rows.append(tuple(row) + (float(mapped[0]), float(mapped[1])))
-    dataio.write_csv(
-        args.out_calibrated,
-        ["q1", "q2", "gamma1", "gamma2", "qhat1", "qhat2"],
-        out_rows,
-    )
-    print(f"rows={len(out_rows)}")
+    # one product per row: a batched rows @ solution differs in the last bits
+    mapped = np.array([quality.apply_iqa_calibration(calibration, row) for row in rows])
+    dataio.write_csv(args.out_calibrated, ["q1", "q2", "gamma1", "gamma2", "qhat1", "qhat2"],
+                     [*rows.T.tolist(), *mapped.T.tolist()])
+    print(f"rows={len(rows)}")
     print(f"residual_orthogonality={calibration.residual_orthogonality()!r}")
     return 0
 

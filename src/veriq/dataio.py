@@ -23,6 +23,7 @@ from .errors import ValidationError
 MATCH = "match"
 NONMATCH = "nonmatch"
 LABELS = (MATCH, NONMATCH)
+_LABEL_FLAGS = {MATCH: True, NONMATCH: False}
 
 # Cell kinds of read_columns columns.
 NUMBER = "number"
@@ -132,11 +133,14 @@ def _cell_error(kind: str, token: str) -> str | None:
 
 
 def _match_flags(labels) -> np.ndarray:
-    """A bool array of labels that are each a ``match`` string, or, when not a
-    string, a truthy value."""
-    return np.array(
-        [lbl == MATCH if isinstance(lbl, str) else bool(lbl) for lbl in labels], dtype=bool
-    )
+    """A bool array of labels, each a ``match`` or ``nonmatch`` string or, when
+    not a string, a value taken by its truth. Any other string is a
+    ValidationError naming the first one."""
+    try:
+        flags = [_LABEL_FLAGS[lbl] if isinstance(lbl, str) else bool(lbl) for lbl in labels]
+    except KeyError as exc:
+        raise ValidationError(f"expected match or nonmatch, found {exc.args[0]!r}") from None
+    return np.array(flags, dtype=bool)
 
 
 _LABEL_SET = frozenset(LABELS)
@@ -320,7 +324,6 @@ def records_to_text(records: RecordSet) -> str:
         list(_FIXED_COLUMNS) + _quality_header(records.quality_dim, records.ref_quality),
         [probe_ids, ref_ids, records.scores().tolist(),
          [rec.label for rec in records.records], *records.quality_matrix().T.tolist()],
-        len(records),
     )
 
 
@@ -379,23 +382,21 @@ def _format_column(column) -> list[str]:
     return list(map(formatter or _format_cell, column))
 
 
-def _csv_text(header: list[str], columns, n_rows: int) -> str:
-    """CSV text of n_rows rows given as equal-length columns: bools as
-    true/false, floats via repr, everything else via str."""
+def _csv_text(header: list[str], columns) -> str:
+    """CSV text of equal-length columns, one row per value: bools as
+    true/false, floats via repr, everything else via str. Columns of unequal
+    length are a ValueError."""
     lines = [",".join(header)]
-    formatted = list(map(_format_column, columns))
-    lines.extend(map(",".join, zip(*formatted)) if formatted else [""] * n_rows)
+    lines.extend(map(",".join, zip(*map(_format_column, columns), strict=True)))
     return "\n".join(lines) + "\n"
 
 
-def write_csv(path_or_stream, header: list[str], rows) -> None:
-    """Emit a CSV, formatted as _csv_text does.
+def write_csv(path_or_stream, header: list[str], columns) -> None:
+    """Emit a CSV of equal-length columns, formatted as _csv_text does.
 
-    ``rows`` may be a one-shot iterator of equal-length rows; it is listed
-    once and formatted column by column.
+    ``columns`` may be a one-shot iterator of columns.
     """
-    rows = list(rows)
-    _write_text(path_or_stream, _csv_text(header, zip(*rows, strict=True), len(rows)))
+    _write_text(path_or_stream, _csv_text(header, columns))
 
 
 def parse_quality_csv(text: str) -> np.ndarray:

@@ -216,25 +216,36 @@ def erc(
     error_kind: str = "fnmr",
     grid_step: float = ERC_GRID_STEP,
 ) -> ErcCurve:
+    """erc_columns of an iterable of (score, is_match, predicted_error)
+    triples; is_match may be a bool or a 'match'/'nonmatch' string."""
+    rows = list(per_attempt)
+    is_match = _match_flags([r[1] for r in rows])
+    return erc_columns([float(r[0]) for r in rows], is_match, [float(r[2]) for r in rows],
+                       threshold, error_kind, grid_step)
+
+
+def erc_columns(scores, is_match, predicted, threshold: float, error_kind: str = "fnmr",
+                grid_step: float = ERC_GRID_STEP) -> ErcCurve:
     """Error-versus-reject curve with an ideal-rejector benchmark.
 
-    per_attempt: iterable of (score, is_match, predicted_error) triples;
-    is_match may be a bool or a 'match'/'nonmatch' string. Attempts with
-    the largest predicted error are rejected first (ties keep input
-    order). The residual error is computed among retained attempts of the
-    relevant class; an empty retained class reports 0 with a flag. The
-    final grid point (fraction 1) is 0 by convention.
+    scores, is_match (bools) and predicted errors are equal-length columns,
+    one value per attempt. Attempts with the largest predicted error are
+    rejected first (ties keep input order). The residual error is computed
+    among retained attempts of the relevant class; an empty retained class
+    reports 0 with a flag. The final grid point (fraction 1) is 0 by
+    convention.
     """
     if error_kind not in ("fnmr", "fmr"):
         raise ValidationError("error_kind must be 'fnmr' or 'fmr'")
     if not 0.0 < grid_step <= 1.0:
         raise ValidationError("grid_step must lie in (0, 1]")
-    rows = list(per_attempt)
-    if not rows:
+    scores = np.asarray(scores, dtype=float)
+    labels = np.asarray(is_match, dtype=bool)
+    predicted = np.asarray(predicted, dtype=float)
+    if scores.size == 0:
         raise ValidationError("need at least one attempt")
-    scores = np.array([float(r[0]) for r in rows])
-    labels = _match_flags(r[1] for r in rows)
-    predicted = np.array([float(r[2]) for r in rows])
+    if not scores.shape == labels.shape == predicted.shape == (scores.size,):
+        raise ValidationError("scores, labels and predicted errors must be aligned columns")
     if not np.all(np.isfinite(predicted)):
         raise ValidationError("predicted errors must be finite")
     n = scores.size
@@ -267,11 +278,11 @@ def erc(
 
 
 def write_roc_csv(curve: RocCurve, sink) -> None:
-    rows = zip(curve.far.tolist(), curve.frr.tolist(), curve.car.tolist(),
-               curve.thresholds.tolist())
-    write_csv(sink, ["far", "frr", "car", "threshold"], rows)
+    columns = (curve.far, curve.frr, curve.car, curve.thresholds)
+    write_csv(sink, ["far", "frr", "car", "threshold"], [c.tolist() for c in columns])
 
 
 def write_erc_csv(curve: ErcCurve, sink) -> None:
-    rows = zip(curve.fractions.tolist(), curve.residual.tolist(), curve.ideal.tolist())
-    write_csv(sink, ["reject_fraction", "residual_error", "ideal_error"], rows)
+    columns = (curve.fractions, curve.residual, curve.ideal)
+    write_csv(sink, ["reject_fraction", "residual_error", "ideal_error"],
+              [c.tolist() for c in columns])

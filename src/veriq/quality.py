@@ -174,21 +174,15 @@ def cluster_regions(records, min_members: int = MIN_MEMBERS) -> list[QualityRegi
 
 
 def write_regions_csv(regions, sink) -> None:
-    """Export one row per (region, axis): bounds, center, member count."""
-    rows = []
-    for region in regions:
-        for axis in range(len(region.center)):
-            rows.append(
-                (
-                    region.region_id,
-                    axis,
-                    float(region.lower[axis]),
-                    float(region.center[axis]),
-                    float(region.upper[axis]),
-                    region.n_members,
-                )
-            )
-    write_csv(sink, ["region_id", "axis", "lower", "center", "upper", "n_members"], rows)
+    """Export one row per (region, axis): bounds, center, member count.
+    The regions share one quality dimension."""
+    d = len(regions[0].center) if regions else 0
+    columns = [np.repeat([r.region_id for r in regions], d), np.tile(np.arange(d), len(regions))]
+    columns += [np.ravel([getattr(r, name) for r in regions])
+                for name in ("lower", "center", "upper")]
+    columns.append(np.repeat([r.n_members for r in regions], d))
+    write_csv(sink, ["region_id", "axis", "lower", "center", "upper", "n_members"],
+              [c.tolist() for c in columns])
 
 
 @dataclass(frozen=True)

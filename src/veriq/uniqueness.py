@@ -114,5 +114,5 @@ def ium_correlation(set_a, set_b) -> IumCorrelation:
 
 
 def write_ium_csv(results, sink) -> None:
-    rows = [(r.subject_id, r.u, r.n_impostors) for r in results]
-    write_csv(sink, ["subject_id", "u", "n_impostors"], rows)
+    header = ["subject_id", "u", "n_impostors"]
+    write_csv(sink, header, [[getattr(r, name) for r in results] for name in header])

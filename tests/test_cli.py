@@ -101,6 +101,26 @@ def test_an_input_that_is_not_utf8_is_one_validation_error(tmp_path, capsys):
                    f"{len(head) + 2}: invalid start byte\n")
 
 
+def test_an_input_that_starts_with_a_byte_order_mark_is_one_validation_error(tmp_path,
+                                                                               capsys):
+    records = tmp_path / "records.csv"
+    records.write_bytes(b"\xef\xbb\xbfprobe_id,ref_id,score,label,q1\na,b,1.0,match,0.5\n")
+    code, out, err = run(["validate", str(records)], capsys)
+    assert (code, out) == (1, "")
+    assert err == (f"validation error: cannot read {records}: "
+                   "starts with a UTF-8 byte-order mark\n")
+    # the model file is read through the same reader
+    queries = tmp_path / "queries.csv"
+    _write_model_and_queries(queries)
+    model = tmp_path / "model.json"
+    model.write_bytes(b"\xef\xbb\xbf" + model.read_bytes())
+    dest = tmp_path / "predictions.csv"
+    code, out, err = run(["predict", str(model), str(queries), "--out", str(dest)], capsys)
+    assert (code, out) == (1, "") and not dest.exists()
+    assert err == (f"validation error: cannot read {model}: "
+                   "starts with a UTF-8 byte-order mark\n")
+
+
 def test_synth_is_byte_deterministic(tmp_path, capsys):
     a, out_a = synth(tmp_path, capsys, "a.csv")
     b, _ = synth(tmp_path, capsys, "b.csv")
@@ -425,7 +445,9 @@ def test_fit_size_caps_admit_the_benchmark_and_paper_sizes():
      ("_MAX_GRID_ROWS", 15, [], "--grid-points"),      # 4^2 = 16 grid rows
      ("_MAX_TRAINING_ROWS", 89, [], "--n-rand"),       # 9 x 10 = 90 rows
      ("_MAX_MASK_BYTES", 2159, [], "mask bytes"),      # 2 x 3 x 360 bytes
-     ("_MAX_TRAINING_ROWS", 89, ["--mode", "cluster"], "--n-rand")],  # 9 anchors
+     ("_MAX_TRAINING_ROWS", 89, ["--mode", "cluster"], "--n-rand"),  # 9 anchors
+     ("_MAX_EM_VALUES", 719, [], "--k-max"),           # 2 x 90 rows x (2 + 2)
+     ("_MAX_EM_VALUES", 719, ["--mode", "cluster"], "--k-max")],
 )
 def test_fit_past_a_size_cap_exits_2_before_writing(tmp_path, capsys, monkeypatch,
                                                     cap, value, extra, named):
@@ -442,6 +464,11 @@ def test_fit_past_a_size_cap_exits_2_before_writing(tmp_path, capsys, monkeypatc
     assert err.startswith("usage error: fit would build") and named in err
     assert len(err.splitlines()) == 1 and stdout == ""
     assert list(out.iterdir()) == []
+
+
+def test_em_cap_admits_the_default_k_max_at_the_training_row_cap():
+    k_max = cli.build_parser().parse_args(["fit", "records.csv", "--seed", "1"]).k_max
+    assert k_max * cli._MAX_TRAINING_ROWS * (2 + 2) <= cli._MAX_EM_VALUES
 
 
 def test_fit_past_the_k_max_cap_exits_2_before_reading(tmp_path, capsys, monkeypatch):
@@ -1180,6 +1207,50 @@ def test_a_mutated_input_file_ends_in_an_exit_code_and_prefixed_messages(command
         write_valid(path)
         lines = data.draw(_mutated_lines(path.read_text().splitlines()))
         path.write_text("\n".join(lines) + "\n")
+        code, _, err, outputs = _main_in(d, argv(str(path), d))
+    assert code in (0, 1, 2, 3)
+    assert all(line.startswith(_PREFIXES) for line in err.splitlines())
+    if code != 0:
+        assert err and not outputs
+
+
+_MULTIBYTE = ("\u00e9", "\u20ac", "\U0001d7d8")  # two, three and four UTF-8 bytes
+
+
+@st.composite
+def _mutated_bytes(draw, data, nests):
+    """data after one to three edits: insert a byte 0x80-0xFF, a NUL or a
+    byte-order mark, or cut the file inside a multi-byte character; a model
+    file may also be nested deeply in [ and {."""
+    edits = ["high byte", "nul", "bom", "cut"] + (["nest"] if nests else [])
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        edit = draw(st.sampled_from(edits))
+        if edit == "nest":
+            depth = draw(st.sampled_from([10, 1_000, 100_000]))
+            data = draw(st.sampled_from([b"[", b'{"a":', b'[{"a":'])) * depth + data
+            continue
+        at = draw(st.just(0) | st.integers(0, len(data)))
+        if edit == "cut":
+            char = draw(st.sampled_from(_MULTIBYTE)).encode()
+            data = data[:at] + char[:draw(st.integers(1, len(char) - 1))]
+            continue
+        insert = {"high byte": bytes([draw(st.integers(0x80, 0xFF))]), "nul": b"\0",
+                  "bom": "\ufeff".encode()}[edit]
+        data = data[:at] + insert + data[at:]
+    return data
+
+
+@pytest.mark.parametrize("command", sorted(_FUZZED_COMMANDS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_an_input_file_with_mutated_bytes_ends_in_an_exit_code_and_prefixed_messages(
+        command, data):
+    write_valid, argv = _FUZZED_COMMANDS[command]
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "input.csv"
+        write_valid(path)
+        path.write_bytes(data.draw(_mutated_bytes(path.read_bytes(),
+                                                  nests=command == "predict-model")))
         code, _, err, outputs = _main_in(d, argv(str(path), d))
     assert code in (0, 1, 2, 3)
     assert all(line.startswith(_PREFIXES) for line in err.splitlines())

@@ -332,7 +332,7 @@ def test_write_records_to_stream():
 
 def test_write_csv_formats_floats_and_bools(tmp_path):
     path = tmp_path / "t.csv"
-    dataio.write_csv(path, ["a", "b", "c"], [(0.1, True, "x"), (1 / 3, False, "y")])
+    dataio.write_csv(path, ["a", "b", "c"], [[0.1, 1 / 3], [True, False], ["x", "y"]])
     lines = path.read_text().splitlines()
     assert lines[0] == "a,b,c"
     assert lines[1] == "0.1,true,x"
@@ -380,16 +380,31 @@ def _csv_tables(draw):
         for mix in column_kinds
     ]
     header = [f"c{j}" for j in range(len(columns))]
-    return header, [tuple(row) for row in zip(*columns)] if n_rows else []
+    return header, columns
 
 
 @settings(max_examples=200, deadline=None)
 @given(_csv_tables())
 def test_write_csv_equals_the_per_value_reference(table):
-    header, rows = table
+    header, columns = table
+    rows = [[column[i] for column in columns] for i in range(len(columns[0]))]
     sink = io.StringIO()
-    dataio.write_csv(sink, header, iter(rows))  # a one-shot iterator, as traced
+    dataio.write_csv(sink, header, iter(columns))  # a one-shot iterator, as traced
     assert sink.getvalue() == _per_value_csv(header, rows)
+
+
+def test_write_csv_refuses_columns_of_unequal_length():
+    sink = io.StringIO()
+    with pytest.raises(ValueError):
+        dataio.write_csv(sink, ["a", "b"], [[1.0, 2.0], [3.0]])
+    with pytest.raises(ValueError):
+        dataio.write_csv(sink, ["a", "b", "c"], [["x"], ["y"], []])
+
+
+def test_write_csv_of_zero_rows_writes_the_header_only(tmp_path):
+    path = tmp_path / "t.csv"
+    dataio.write_csv(path, ["a", "b"], [[], []])
+    assert path.read_text() == "a,b\n"
 
 
 def test_parse_quality_csv():

@@ -56,6 +56,16 @@ def test_count_outcomes_accepts_string_labels():
     assert got == (0, 1, 0, 1)
 
 
+def test_count_outcomes_refuses_a_string_that_is_not_a_label():
+    # "MATCH" once counted as a nonmatch
+    with pytest.raises(ValidationError, match="found 'MATCH'"):
+        count_outcomes([1.0, 1.0], [MATCH, "MATCH"], 0.5)
+    with pytest.raises(ValidationError, match="found ''"):
+        count_outcomes([1.0, 1.0, 1.0], [True, "", "x"], 0.5)
+    # values that are not strings still count by their truth
+    assert count_outcomes([1.0, 1.0], [np.True_, 0], 0.5) == (0, 1, 1, 1)
+
+
 def test_count_outcomes_validation():
     with pytest.raises(ValidationError):
         count_outcomes([], [], 0.5)

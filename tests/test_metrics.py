@@ -17,6 +17,7 @@ from veriq.metrics import (
     _as_scores,
     auc,
     erc,
+    erc_columns,
     far_frr,
     hter,
     roc,
@@ -328,6 +329,12 @@ def test_erc_string_labels_match_boolean_labels():
     np.testing.assert_array_equal(a.residual, b.residual)
 
 
+def test_erc_refuses_a_string_that_is_not_a_label():
+    # "MATCH" once counted as a nonmatch
+    with pytest.raises(ValidationError, match="found 'MATCH'"):
+        erc(_attempts([1.0, -1.0], ["match", "MATCH"], [0.0, 1.0]), 0.0)
+
+
 def test_erc_flags_an_emptied_class():
     # rejecting half removes every match attempt; FNMR undefined -> 0 + flag
     attempts = _attempts(
@@ -351,6 +358,8 @@ def test_erc_validation():
         erc(good, 0.0, grid_step=0.0)
     with pytest.raises(ValidationError):
         erc(_attempts([1.0], [True], [math.nan]), 0.0)
+    with pytest.raises(ValidationError):
+        erc_columns([1.0, 2.0], [True], [0.0, 0.0], 0.0)
 
 
 # ------------------------------------- sort-based measures vs per-threshold
@@ -527,6 +536,10 @@ def test_cumulative_erc_matches_per_grid_point_reference(case):
     ref = _reference_erc(attempts, threshold, kind, step)
     _assert_same_bits(got, ref, ("fractions", "residual", "ideal", "empty_retained"))
     assert got.error_kind == ref.error_kind
+    # the columns cmd_erc passes: float and bool arrays
+    scores, labels, predicted = (np.array(column) for column in zip(*attempts))
+    columns = erc_columns(scores, labels, predicted, threshold, kind, step)
+    _assert_same_bits(columns, got, ("fractions", "residual", "ideal", "empty_retained"))
 
 
 # ------------------------------------------------------------------- CSVs
