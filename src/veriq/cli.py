@@ -231,6 +231,9 @@ def cmd_fit(args) -> int:
     print(f"selected_k={best.n_components}")
     print(f"selected_parametrization={best.parametrization}")
     print(f"bic={best.fit_meta['bic']!r}")
+    print(f"sparse_regions={sum(r.sparse for r in regions)}")
+    print(f"empty_regions={sum(r.n_members == 0 for r in regions)}")
+    print(f"cells_at_max_iter={sum(c.status == 'ok' and not c.converged for c in table)}")
     return 0
 
 

@@ -85,10 +85,9 @@ def threshold_for_fmr(nonmatch_scores, target_fmr: float):
     nonmatch = np.sort(_as_scores(nonmatch_scores, "nonmatch"))
     n = nonmatch.size
     if n * target_fmr < 1.0:
-        needed = math.ceil(1.0 / target_fmr)
-        raise NumericError(
-            f"target FMR {target_fmr} needs at least {needed} nonmatch scores, got {n}"
-        )
+        # in %g: a tiny target's count has hundreds of digits, a subnormal one's is inf
+        raise NumericError(f"target FMR {target_fmr} needs at least "
+                           f"{np.ceil(1.0 / target_fmr):g} nonmatch scores, got {n}")
     allowed = int(math.floor(n * target_fmr))
     threshold = float(np.nextafter(nonmatch[n - allowed - 1], math.inf))
     achieved = float(np.mean(nonmatch >= threshold))

@@ -143,13 +143,16 @@ class SearchCell:
     converged: bool = False
 
 
-def _logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
-    """log(sum(exp(a))) along axis, max-shifted; an all -inf slice gives -inf."""
-    peak = np.max(a, axis=axis, keepdims=True)
+@np.errstate(divide="ignore")  # an all -inf column's log(0) is its -inf
+def _normalize_columns(log_joint: np.ndarray) -> np.ndarray:
+    """Max-shifted log(sum(exp)) of each column; log_joint becomes exp(log_joint - it)."""
+    peak = np.max(log_joint, axis=0)
     peak = np.where(np.isfinite(peak), peak, 0.0)
-    with np.errstate(divide="ignore"):
-        total = np.log(np.sum(np.exp(a - peak), axis=axis))
-    return total + np.squeeze(peak, axis=axis)
+    shifted = np.subtract(log_joint, peak)
+    total = np.exp(shifted, out=shifted).sum(axis=0)
+    log_norm = np.log(total) + peak
+    np.exp(np.subtract(log_joint, log_norm, out=log_joint), out=log_joint)
+    return log_norm
 
 
 def _ridge_one(cov: np.ndarray, context: str, counters: dict) -> np.ndarray:
@@ -240,7 +243,7 @@ def family_violation(code: str, covs) -> float:
 def _shape_normalize(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Split positive values along the last axis into (unit-determinant shape, volume)."""
     safe = np.maximum(values, _TINY)
-    volume = np.exp(np.mean(np.log(safe), axis=-1, keepdims=True))
+    volume = np.exp(np.log(safe).sum(axis=-1, keepdims=True) / values.shape[-1])
     return safe / volume, volume
 
 
@@ -291,11 +294,10 @@ def _project_covariances(
     else:
         if orientation == "I":
             vals = np.diagonal(scatter, axis1=1, axis2=2)
-        else:  # eigenvalues descending, with their eigenvectors
+        else:  # eigh's ascending eigenvalues reversed, with their eigenvectors
             vals, vecs = np.linalg.eigh(0.5 * (scatter + np.swapaxes(scatter, 1, 2)))
-            order = np.argsort(vals, axis=1)[:, ::-1]
-            vals = np.maximum(np.take_along_axis(vals, order, axis=1), 0.0)
-            vecs = np.take_along_axis(vecs, order[:, None, :], axis=2)
+            vals = np.maximum(vals[:, ::-1], 0.0)
+            vecs = np.ascontiguousarray(vecs[:, :, ::-1])
         if volume == shape:  # EEV
             unit, lam = _shape_normalize(vals.sum(axis=0))
             eig = lam / n_total * unit
@@ -307,8 +309,9 @@ def _project_covariances(
         else:  # VEI, VEV
             if _shape_is_singular(vals.sum(axis=0)):
                 raise NumericError(f"{code} shared shape is singular")
+            scale = counts * d
             if prev_cov is None:
-                lam = np.trace(scatter, axis1=1, axis2=2) / (counts * d)
+                lam = np.trace(scatter, axis1=1, axis2=2) / scale
             else:
                 sign, logdet = np.linalg.slogdet(prev_cov)
                 lam = np.where(sign > 0, np.exp(logdet / d), _TINY)
@@ -316,11 +319,9 @@ def _project_covariances(
             unit = np.ones(d)
             for _ in range(ORIENTATION_INNER_ITER):
                 unit_new, _ = _shape_normalize((vals / lam[:, None]).sum(axis=0))
-                lam_new = np.maximum((vals / unit_new).sum(axis=1) / (counts * d), _TINY)
-                done = all(
-                    np.all(np.abs(new - old) <= 1e-8 + 1e-12 * np.abs(old))
-                    for new, old in ((lam_new, lam), (unit_new, unit))
-                )
+                lam_new = np.maximum((vals / unit_new).sum(axis=1) / scale, _TINY)
+                done = ((np.abs(lam_new - lam) <= 1e-8 + 1e-12 * np.abs(lam)).all()
+                        and (np.abs(unit_new - unit) <= 1e-8 + 1e-12 * np.abs(unit)).all())
                 lam, unit = lam_new, unit_new
                 if done:
                     break
@@ -411,9 +412,8 @@ def _m_step(
 ):
     if workspace is None:
         workspace = _Workspace(data, len(resp))
-    n = data.shape[0]
     nk = resp.sum(axis=1)
-    weights = nk / n
+    weights = nk / data.shape[0]
     means = (resp @ data) / np.maximum(nk, _TINY)[:, None]
     diff = workspace.centered(means)
     weighted = np.multiply(resp[:, None, :], diff, out=workspace.weighted)
@@ -441,19 +441,19 @@ def _log_component_densities(
     chol = workspace.cholesky(covs)
     whitened = np.matmul(np.linalg.inv(chol), workspace.centered(means),
                          out=workspace.whitened)
-    quad = np.einsum("kdn,kdn->kn", whitened, whitened)
     logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
-    log_dens = -0.5 * (d * math.log(2.0 * math.pi) + logdet[:, None] + quad)
-    return log_dens + np.log(np.maximum(weights, _TINY))[:, None]
+    log_dens = np.einsum("kdn,kdn->kn", whitened, whitened)  # fresh, so summed in place
+    log_dens += (d * math.log(2.0 * math.pi) + logdet)[:, None]
+    log_dens *= -0.5
+    return np.add(log_dens, np.log(np.maximum(weights, _TINY))[:, None], out=log_dens)
 
 
 def _e_step(
     data: np.ndarray, params, workspace: _Workspace | None = None
 ) -> tuple[float, np.ndarray]:
     """Log-likelihood and (K, N) responsibilities at (weights, means, covs)."""
-    log_joint = _log_component_densities(data, *params, workspace)
-    log_norm = _logsumexp(log_joint, axis=0)
-    return float(np.sum(log_norm)), np.exp(log_joint - log_norm)
+    resp = _log_component_densities(data, *params, workspace)
+    return float(np.sum(_normalize_columns(resp))), resp
 
 
 def _collapsed(resp: np.ndarray, d: int) -> bool:

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from veriq import alignment, cli, dataio, mixture
+from veriq import alignment, cli, dataio, mixture, quality
 
 
 def run(argv, capsys):
@@ -355,6 +355,57 @@ def test_fit_rejects_unreachable_fmr_target(tmp_path, capsys):
     code, _, err = run(argv, capsys)
     assert code == 3  # 180 nonmatch scores cannot pin FMR <= 1e-3
     assert "numeric error" in err
+
+
+@pytest.mark.parametrize("command", ["fit", "erc"])
+@pytest.mark.parametrize("fmr, needed", [("1e-300", "1e+300"), ("1e-310", "inf"),
+                                         ("5e-324", "inf")])
+def test_a_tiny_or_subnormal_fmr_target_is_one_numeric_error(tmp_path, capsys, command,
+                                                             fmr, needed):
+    # 1 / 1e-310 overflows to inf; no float count n makes n * 1e-310 reach 1
+    records, _ = synth(tmp_path, capsys)
+    out = tmp_path / "out"
+    out.mkdir()
+    if command == "fit":
+        argv = ["fit", str(records), "--seed", "3", "--out-model", str(out / "m.json"),
+                "--out-bic", str(out / "b.csv"), "--out-grid", str(out / "g.csv")]
+    else:
+        attempts = tmp_path / "attempts.csv"
+        rows = [line.split(",") for line in records.read_text().splitlines()[1:]]
+        attempts.write_text(ERC_HEADER + "\n" + "".join(
+            f"{row[2]},{row[3]},0.5\n" for row in rows))
+        argv = ["erc", str(attempts), "--out", str(out / "erc.csv")]
+    code, stdout, err = run(argv + ["--fmr", fmr], capsys)
+    assert code == 3
+    assert err == (f"numeric error: target FMR {float(fmr)} needs at least {needed} "
+                   "nonmatch scores, got 180\n")
+    assert stdout == "" and list(out.iterdir()) == []
+
+
+def test_fit_reports_sparse_regions_and_cells_stopped_at_max_iter(tmp_path, capsys):
+    records, _ = synth(tmp_path, capsys, extra=("--quality-jitter", "0.08"))
+    out, info = fit(tmp_path, capsys, records)
+    regions = (out / "regions.csv").read_text().splitlines()[1::2]  # axis 0 rows
+    members = [int(line.split(",")[-1]) for line in regions]
+    assert info["sparse_regions"] == str(sum(m < quality.MIN_MEMBERS for m in members))
+    assert info["empty_regions"] == str(members.count(0))
+    assert int(info["cells_at_max_iter"]) == 0
+
+    argv = ["fit", str(records), "--out-model", str(out / "model.json"),
+            "--out-bic", str(out / "bic.csv"), "--out-grid", str(out / "grid.csv"),
+            *FIT_FLAGS]
+    code, stdout, err = run(argv + ["--min-members", "100000"], capsys)
+    assert code == 0, err
+    info = stdout_map(stdout)
+    assert info["sparse_regions"] == info["regions"] == "9"
+    assert info["empty_regions"] == "0"
+
+    code, stdout, err = run(argv + ["--k-min", "2", "--max-iter", "3"], capsys)
+    assert code == 0, err
+    ok_cells = [line for line in (out / "bic.csv").read_text().splitlines()[1:]
+                if line.endswith(",ok")]
+    assert len(ok_cells) == 2
+    assert stdout_map(stdout)["cells_at_max_iter"] == "2"
 
 
 def test_fit_rejects_unknown_family(tmp_path, capsys):
@@ -1262,7 +1313,8 @@ def test_an_input_file_with_mutated_bytes_ends_in_an_exit_code_and_prefixed_mess
 
 # Every numeric flag with the bounds of its domain, written out here rather
 # than read from cli._FLAG_RULES. Each is tried at 0, -1, nan, +-inf, 2^64, at
-# each bound and one step (1, or one ulp) either side of it.
+# each bound and one step (1, or one ulp) either side of it, and a float flag
+# also at +-1e-310 and the smallest normal float.
 _NUMERIC_FLAGS = {
     "fit": {"--n-qs": (int, [3]), "--n-rand": (int, [1]), "--fmr": (float, [0, 1]),
             "--prior-a": (float, [0, math.inf]), "--prior-b": (float, [0, math.inf]),
@@ -1290,6 +1342,8 @@ def _edge_values(kind, bounds):
         else:
             values += [repr(math.nextafter(bound, -math.inf)), repr(float(bound)),
                        repr(math.nextafter(bound, math.inf))]
+    if kind is float:  # 1e-310 is subnormal, and 1 / 1e-310 overflows to inf
+        values += ["1e-310", "-1e-310", "2.2250738585072014e-308"]
     return values
 
 

@@ -6,6 +6,7 @@ import logging
 import math
 import multiprocessing
 import os
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -129,7 +130,7 @@ def log_likelihood(model, data):
     log_joint = mixture._log_component_densities(
         data, model.weights, model.means, model.covariances
     )
-    return float(np.sum(mixture._logsumexp(log_joint, axis=0)))
+    return float(np.sum(mixture._normalize_columns(log_joint)))
 
 
 def bic(model, data):
@@ -296,10 +297,10 @@ def _reference_em_run(data, k, code, seed, attempt, tol, max_iter):
     )
     trace: list[float] = []
     while True:
-        log_joint = mixture._log_component_densities(data, *params)
-        log_norm = mixture._logsumexp(log_joint, axis=0)
+        log_norm, resp = _previous_e_step_tail(
+            mixture._log_component_densities(data, *params)
+        )
         loglik = float(np.sum(log_norm))
-        resp = np.exp(log_joint - log_norm)
         if np.min(resp.sum(axis=1)) < data.shape[1] + 1:
             raise NumericError(f"component collapsed (seed {seed}, attempt {attempt})")
         if trace and loglik < trace[-1]:
@@ -1292,13 +1293,19 @@ def test_numpy_logsumexp_matches_scipy(rows, finite_at):
     if a.shape[0] > 1:  # a row with a single finite entry
         a[1] = -np.inf
         a[1, finite_at % a.shape[1]] = -3.5
+
+    def normalize(columns):
+        """The kernel sums columns and overwrites its argument; an all -inf
+        column's responsibilities are nan, as they always were."""
+        with np.errstate(invalid="ignore"):
+            return mixture._normalize_columns(columns.copy())
+
     for axis in (0, 1):
-        got = mixture._logsumexp(a, axis=axis)
-        ref = logsumexp(a, axis=axis)
-        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-13)
-    assert mixture._logsumexp(a[0]) == -np.inf
+        got = normalize(np.moveaxis(a, axis, 0))
+        np.testing.assert_allclose(got, logsumexp(a, axis=axis), rtol=1e-12, atol=1e-13)
+    assert normalize(a[:1].T) == -np.inf
     if a.shape[0] > 1:
-        assert mixture._logsumexp(a[1]) == -3.5
+        assert normalize(a[1:2].T) == -3.5
 
 
 @settings(max_examples=150, deadline=None)
@@ -1368,6 +1375,205 @@ def test_letter_projection_matches_per_family_reference(case):
         _assert_matches_reference_projection(code, got, ref)
         scale = max(1.0, float(np.max(np.abs(got))))
         assert family_violation(code, got) <= 1e-8 * scale
+
+
+# ------------------------------------------ previous kernels, kept bit for bit
+#
+# The E-step tail, the log-densities, the orientation order and the VEI/VEV
+# shape descent were rewritten to allocate less and call numpy less, with
+# the same operations in the same order. The versions they replaced are kept
+# here, and the library must equal them bit for bit.
+
+
+def _previous_logsumexp(a, axis=-1):
+    """log(sum(exp(a))) along axis, max-shifted; an all -inf slice gives -inf."""
+    peak = np.max(a, axis=axis, keepdims=True)
+    peak = np.where(np.isfinite(peak), peak, 0.0)
+    with np.errstate(divide="ignore"):
+        total = np.log(np.sum(np.exp(a - peak), axis=axis))
+    return total + np.squeeze(peak, axis=axis)
+
+
+def _previous_e_step_tail(log_joint):
+    """(log-normalizers, responsibilities) of a (K, N) log-joint array."""
+    log_norm = _previous_logsumexp(log_joint, axis=0)
+    return log_norm, np.exp(log_joint - log_norm)
+
+
+def _previous_log_densities(data, weights, means, covs):
+    workspace = mixture._Workspace(np.atleast_2d(data), len(weights))
+    d = means.shape[1]
+    chol = workspace.cholesky(covs)
+    whitened = np.matmul(np.linalg.inv(chol), workspace.centered(means),
+                         out=workspace.whitened)
+    quad = np.einsum("kdn,kdn->kn", whitened, whitened)
+    logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
+    log_dens = -0.5 * (d * math.log(2.0 * math.pi) + logdet[:, None] + quad)
+    return log_dens + np.log(np.maximum(weights, _TINY))[:, None]
+
+
+def _previous_shape_normalize(values):
+    safe = np.maximum(values, _TINY)
+    volume = np.exp(np.mean(np.log(safe), axis=-1, keepdims=True))
+    return safe / volume, volume
+
+
+def _previous_project_covariances(code, scatter, nk, prev_cov):
+    """The letter-driven projection with argsort's eigenvalue order, np.mean
+    shapes and a generator convergence test."""
+    volume, shape, orientation = code
+    k, d, _ = scatter.shape
+    n_total = float(np.sum(nk))
+    counts = np.maximum(nk, _TINY)
+    vecs = None
+    if len(set(code) - {"I"}) == 1:
+        if volume == "E":
+            base, count = scatter.sum(axis=0, keepdims=True), np.array([n_total])
+        else:
+            base, count = scatter, counts
+        if shape == "I":
+            lam = np.trace(base, axis1=1, axis2=2) / (count * d)
+            eig = np.repeat(lam[:, None], d, axis=1)
+        elif orientation == "I":
+            eig = np.diagonal(base, axis1=1, axis2=2) / count[:, None]
+        else:
+            return np.broadcast_to(base / count[:, None, None], (k, d, d)).copy()
+    else:
+        if orientation == "I":
+            vals = np.diagonal(scatter, axis1=1, axis2=2)
+        else:
+            vals, vecs = np.linalg.eigh(0.5 * (scatter + np.swapaxes(scatter, 1, 2)))
+            order = np.argsort(vals, axis=1)[:, ::-1]
+            vals = np.maximum(np.take_along_axis(vals, order, axis=1), 0.0)
+            vecs = np.take_along_axis(vecs, order[:, None, :], axis=2)
+        if volume == shape:  # EEV
+            unit, lam = _previous_shape_normalize(vals.sum(axis=0))
+            eig = lam / n_total * unit
+        elif volume == "E":  # EVI
+            if mixture._shape_is_singular(vals):
+                raise NumericError("EVI component shape is singular")
+            unit, lam = _previous_shape_normalize(vals)
+            eig = float(np.sum(lam)) / n_total * unit
+        else:  # VEI, VEV
+            if mixture._shape_is_singular(vals.sum(axis=0)):
+                raise NumericError(f"{code} shared shape is singular")
+            if prev_cov is None:
+                lam = np.trace(scatter, axis1=1, axis2=2) / (counts * d)
+            else:
+                sign, logdet = np.linalg.slogdet(prev_cov)
+                lam = np.where(sign > 0, np.exp(logdet / d), _TINY)
+            lam = np.maximum(lam, _TINY)
+            unit = np.ones(d)
+            for _ in range(ORIENTATION_INNER_ITER):
+                unit_new, _ = _previous_shape_normalize((vals / lam[:, None]).sum(axis=0))
+                lam_new = np.maximum((vals / unit_new).sum(axis=1) / (counts * d), _TINY)
+                done = all(
+                    np.all(np.abs(new - old) <= 1e-8 + 1e-12 * np.abs(old))
+                    for new, old in ((lam_new, lam), (unit_new, unit))
+                )
+                lam, unit = lam_new, unit_new
+                if done:
+                    break
+            eig = lam[:, None] * unit
+    if vecs is not None:
+        return (vecs * eig[..., None, :]) @ np.swapaxes(vecs, 1, 2)
+    out = np.zeros((k, d, d))
+    out[:, range(d), range(d)] = eig
+    return out
+
+
+def _with_warnings(call, *args):
+    """call(*args) and the sorted messages of the warnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = call(*args)
+    return result, sorted(str(w.message) for w in caught)
+
+
+@st.composite
+def _log_joints(draw):
+    """(K, N) log-joint arrays whose columns mix finite entries of random
+    spread with -inf, are all -inf, hold one finite entry, or have a nan or
+    +inf peak."""
+    k = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = rng.choice(["mixed", "all -inf", "one finite", "nan", "inf"],
+                       size=draw(st.integers(1, 64)), p=[0.6, 0.1, 0.1, 0.1, 0.1])
+    columns = []
+    for kind in kinds:
+        column = rng.uniform(-1e3, 1e3) + 10.0 ** rng.uniform(-1, 3) * rng.standard_normal(k)
+        column[rng.random(k) < 0.3] = -np.inf
+        at = rng.integers(k)
+        if kind in ("all -inf", "one finite"):
+            column[np.arange(k) != at] = -np.inf
+            if kind == "all -inf":
+                column[at] = -np.inf
+        elif kind != "mixed":
+            column[at] = np.nan if kind == "nan" else np.inf
+        columns.append(column)
+    return np.column_stack(columns)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_log_joints())
+@example(log_joint=np.full((3, 2), -np.inf))
+@example(log_joint=np.random.default_rng(5).normal(scale=3.0, size=(6, 256)))  # close terms
+def test_e_step_tail_equals_the_previous_tail_bit_for_bit(log_joint):
+    (ref_norm, ref_resp), ref_warnings = _with_warnings(_previous_e_step_tail, log_joint)
+    resp = log_joint.copy()
+    log_norm, got_warnings = _with_warnings(mixture._normalize_columns, resp)
+    assert log_norm.tobytes() == ref_norm.tobytes()
+    assert resp.tobytes() == ref_resp.tobytes()
+    # the log of an all -inf column's zero sum is -inf, without a warning;
+    # the responsibilities' inf - inf warns as it always did
+    assert got_warnings == ref_warnings
+    assert not any("divide" in message for message in got_warnings)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mixtures())
+def test_log_densities_equal_the_previous_kernel_bit_for_bit(case):
+    data, weights, means, covs = case
+    got = mixture._log_component_densities(data, weights, means, covs)
+    assert got.tobytes() == _previous_log_densities(data, weights, means, covs).tobytes()
+
+
+def _projection_outcome(project, code, scatter, nk, prev):
+    try:
+        return project(code, scatter, nk, prev).tobytes()
+    except NumericError as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_scatters())
+def test_projection_equals_the_previous_one_bit_for_bit(case):
+    scatter, nk, prev_scatter = case
+    for code in PARAMETRIZATIONS:
+        prev = None
+        if prev_scatter is not None:
+            prev = _previous_project_covariances(code, prev_scatter, nk, None)
+        assert (_projection_outcome(mixture._project_covariances, code, scatter, nk, prev)
+                == _projection_outcome(_previous_project_covariances, code, scatter, nk, prev))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 8), st.integers(0, 2**32 - 1), st.booleans(),
+       st.booleans())
+def test_projection_orders_tied_eigenvalues_as_before(k, d, seed, rotate, with_prev):
+    """Scatters whose eigenvalues take at most two levels: exact ties when
+    the scatter is diagonal, ties up to rounding when it is rotated."""
+    rng = np.random.default_rng(seed)
+    levels = rng.uniform(0.5, 4.0, size=2)
+    nk = rng.uniform(1.0, 100.0, size=k)
+    scatter = np.zeros((k, d, d))
+    for j in range(k):
+        basis = np.linalg.qr(rng.normal(size=(d, d)))[0] if rotate else np.eye(d)
+        scatter[j] = nk[j] * (basis * levels[rng.integers(2, size=d)]) @ basis.T
+    for code in ("EEV", "VEV", "EEE", "VVV", "VEI", "EVI"):
+        prev = _previous_project_covariances(code, scatter[::-1], nk, None) if with_prev else None
+        assert (_projection_outcome(mixture._project_covariances, code, scatter, nk, prev)
+                == _projection_outcome(_previous_project_covariances, code, scatter, nk, prev))
 
 
 def test_ensure_spd_repairs_each_component_like_the_loop(caplog):
